@@ -24,6 +24,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from .cost_model import CostModel, MachineProfile
+from .frontier import left_to_right
 from .index_base import BaseIndex, IndexDebugState, IndexTable
 from .kdtree import KDTree
 from .metrics import PhaseTimer, QueryStats
@@ -78,13 +79,13 @@ class AdaptiveKDTree(BaseIndex):
         )
         self._index: Optional[IndexTable] = None
         self._tree: Optional[KDTree] = None
-        self._open_pieces = 1 if table.n_rows > size_threshold else 0
 
     # -- phases -------------------------------------------------------------------
 
     def _initialize(self, stats: QueryStats) -> None:
         self._index = IndexTable.copy_of(self.table, stats)
         self._tree = KDTree(self.n_rows, self.n_dims)
+        self._tree.open_frontier(self.size_threshold)
         # Seed the root zone map from the column min/max; splits tighten
         # it so piece scans can skip or short-circuit via the synopsis.
         # Uncharged like the pivot statistics: metadata, not data movement.
@@ -120,27 +121,25 @@ class AdaptiveKDTree(BaseIndex):
     def _split(
         self, piece: Piece, dim: int, key: float, split: int, stats: QueryStats
     ) -> tuple:
-        if piece.size > self.size_threshold:
-            self._open_pieces -= 1
         left, right = self._tree.split_leaf(piece, dim, key, split)
         stats.nodes_created += 1
-        for child in (left, right):
-            if child.size > self.size_threshold:
-                self._open_pieces += 1
         return left, right
 
     def _adapt(self, query: RangeQuery, stats: QueryStats) -> None:
         """Insert every predicate bound as a pivot into the pieces that are
         relevant to the query (Section III-A, "Adaptation phase")."""
         arrays = self._index.all_arrays
+        frontier = self._tree.frontier
+        if not frontier:
+            return
+        # The above-threshold leaves the query reaches: found by one
+        # (uncharged) descent, then kept current by the frontier as the
+        # pairs below split them.
+        reached = frontier.reach(query).pieces
         for dim, value in query.adaptation_pairs():
-            # Materialise targets first: splitting mutates the tree.
-            targets = [
-                (piece, lob, hib)
-                for piece, lob, hib in self._tree.iter_leaves_with_bounds(query)
-                if piece.size > self.size_threshold
-            ]
-            for piece, lob, hib in targets:
+            # A snapshot: splitting mutates the reached set.
+            for piece in left_to_right(reached):
+                lob, hib = frontier.box(piece)
                 if not (lob[dim] < value < hib[dim]):
                     continue  # pivot cannot split this piece's key range
                 split = stable_partition(arrays, piece.start, piece.end, dim, value)
@@ -183,7 +182,7 @@ class AdaptiveKDTree(BaseIndex):
         refines where queries land), but a workload may happen to refine
         everything; the harness uses this flag either way.
         """
-        return self._tree is not None and self._open_pieces == 0
+        return self._tree is not None and not self._tree.frontier
 
     @property
     def node_count(self) -> int:
@@ -191,8 +190,10 @@ class AdaptiveKDTree(BaseIndex):
 
     @property
     def open_piece_count(self) -> Optional[int]:
-        """Above-threshold leaves, from the incrementally-kept counter."""
-        return self._open_pieces
+        """Above-threshold leaves, from the incrementally-kept frontier."""
+        if self._tree is None:
+            return 1 if self.n_rows > self.size_threshold else 0
+        return len(self._tree.frontier)
 
     @property
     def tree(self) -> Optional[KDTree]:
@@ -203,13 +204,13 @@ class AdaptiveKDTree(BaseIndex):
         return self._index
 
     def debug_state(self) -> IndexDebugState:
-        """Generic KD state plus the open-piece counter.
+        """Generic KD state plus the open-piece count.
 
-        ``_open_pieces`` is maintained incrementally by :meth:`_split`;
-        exposing it lets the invariant checkers cross-validate the counter
+        The count comes from the incrementally maintained frontier;
+        exposing it lets the invariant checkers cross-validate it
         against an actual count of above-threshold leaves (a drifting
-        counter would silently corrupt :attr:`converged`).
+        frontier would silently corrupt :attr:`converged`).
         """
         state = super().debug_state()
-        state.extras["open_pieces"] = self._open_pieces
+        state.extras["open_pieces"] = self.open_piece_count
         return state

@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import IndexStateError
 from ..obs import trace as obs_trace
 from . import arena as arena_mod
+from .frontier import Frontier
 from .metrics import QueryStats
 from .node import AnyNode, KDNode, Piece
 from .query import RangeQuery
@@ -79,6 +80,9 @@ class KDTree:
         if use_arena:
             self.arena = arena_mod.Arena(n_dims)
             self.arena.register_root(self.root)
+        #: Open-piece work queue of the incremental indexes; ``None``
+        #: until :meth:`open_frontier` asks for one.
+        self.frontier: Optional[Frontier] = None
 
     def attach_arena(self) -> arena_mod.Arena:
         """(Re)build the flat arena mirror from the current object graph.
@@ -89,6 +93,17 @@ class KDTree:
         """
         self.arena = arena_mod.Arena.from_tree(self)
         return self.arena
+
+    def open_frontier(self, size_threshold: int) -> Frontier:
+        """(Re)build the open-piece frontier by one walk of the tree.
+
+        Leaves above ``size_threshold`` that are not flagged converged
+        enter it with their path boxes; from here on every
+        :meth:`split_leaf` keeps it current.  Works on any tree — fresh,
+        decoded from a snapshot, or re-cracked after a merge.
+        """
+        self.frontier = Frontier(self, size_threshold)
+        return self.frontier
 
     # -- structural edits ----------------------------------------------------
 
@@ -129,6 +144,8 @@ class KDTree:
         self.leaf_count += 1
         if self.arena is not None:
             self.arena.apply_split(piece, dim, key, split, left, right)
+        if self.frontier is not None:
+            self.frontier.on_split(piece, dim, key, left, right)
         if obs_trace.ENABLED:
             obs_trace.TRACER.event(
                 "split",

@@ -27,7 +27,8 @@ by-products).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from heapq import heapify, heappop
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -102,7 +103,6 @@ class ProgressiveKDTree(BaseIndex):
         self._rows_copied = 0
         self._top_write = 0  # next free slot from the top
         self._bottom_write = table.n_rows - 1  # next free slot from the bottom
-        self._open: List[Piece] = []  # unconverged pieces (refinement phase)
         self._active: Optional[Piece] = None  # piece with an in-progress job
         self._capped_budget_seconds: Optional[float] = None  # tau cap
         self._last_scan_seconds: Optional[float] = None  # measured net cost
@@ -189,18 +189,23 @@ class ProgressiveKDTree(BaseIndex):
         begin = self._rows_copied
         end = begin + n_copy
         mask = self.table.column(0)[begin:end] <= self._pivot0
-        n_top = int(np.count_nonzero(mask))
+        # One ascending index list per side, gathered straight into the
+        # index table: order-preserving like the boolean masks it
+        # replaces, without their per-column temporaries.  mode="clip"
+        # only skips take's bounce buffer — the indices are in range.
+        top = np.flatnonzero(mask)
+        bottom = np.flatnonzero(~mask)
+        n_top = top.shape[0]
         n_bottom = n_copy - n_top
-        inverse = ~mask
         top_slice = slice(self._top_write, self._top_write + n_top)
         bottom_slice = slice(self._bottom_write - n_bottom + 1, self._bottom_write + 1)
         for dim in range(self.n_dims):
             chunk = self.table.column(dim)[begin:end]
-            self._index.columns[dim][top_slice] = chunk[mask]
-            self._index.columns[dim][bottom_slice] = chunk[inverse]
-        ids = np.arange(begin, end, dtype=np.int64)
-        self._index.rowids[top_slice] = ids[mask]
-        self._index.rowids[bottom_slice] = ids[inverse]
+            column = self._index.columns[dim]
+            np.take(chunk, top, out=column[top_slice], mode="clip")
+            np.take(chunk, bottom, out=column[bottom_slice], mode="clip")
+        np.add(top, begin, out=self._index.rowids[top_slice])
+        np.add(bottom, begin, out=self._index.rowids[bottom_slice])
         self._top_write += n_top
         self._bottom_write -= n_bottom
         self._rows_copied = end
@@ -212,6 +217,7 @@ class ProgressiveKDTree(BaseIndex):
     def _finish_creation(self, stats: QueryStats) -> None:
         """Turn the pivoted index table into the initial one-node KD-Tree."""
         self._tree = KDTree(self.n_rows, self.n_dims)
+        frontier = self._tree.open_frontier(self.size_threshold)
         # Seed the root zone map before the pivot-0 split so both initial
         # children inherit it.  Uncharged, like the pivot itself (the
         # paper computes both during data loading).
@@ -230,13 +236,10 @@ class ProgressiveKDTree(BaseIndex):
             # rotate to the next dimension.
             root.dims_tried = 1
             children = [root]
-        self._open = []
         for child in children:
             if child.size <= self.size_threshold:
                 child.converged = True
-            else:
-                self._open.append(child)
-        self.phase = REFINEMENT if self._open else CONVERGED
+        self.phase = REFINEMENT if frontier else CONVERGED
 
     def _creation_scan(self, query: RangeQuery, stats: QueryStats) -> np.ndarray:
         """Answer a creation-phase query: indexed side(s) + base-table tail."""
@@ -338,16 +341,17 @@ class ProgressiveKDTree(BaseIndex):
         per round instead (:meth:`_refine_step_parallel`); ``workers ==
         1`` always takes the serial loop below, unchanged.
         """
+        frontier = self._tree.frontier
         if (
             parallel_config.fanout_workers() > 1
-            and len(self._open) > 1
+            and len(frontier) > 1
             and not parallel_config.in_worker()
         ):
             return self._refine_step_parallel(budget_rows, query, stats)
         model = self.cost_model
         row_seconds = model.refinement_row_seconds()
         used_total = 0
-        while budget_rows > 0 and self._open:
+        while budget_rows > 0 and frontier:
             before = model.seconds_of(stats)
             piece = self._pick_piece(query, stats)
             if piece.job is None:
@@ -371,7 +375,7 @@ class ProgressiveKDTree(BaseIndex):
             budget_rows -= used
             if piece.job.done:
                 self._complete_piece(piece, stats)
-        if not self._open:
+        if not frontier:
             self.phase = CONVERGED
         return used_total
 
@@ -391,7 +395,6 @@ class ProgressiveKDTree(BaseIndex):
                 piece.converged = True
                 self._drop_open(piece)
             return
-        self._drop_open(piece)
         left, right = self._tree.split_leaf(
             piece, piece.split_dim, piece.pivot, split
         )
@@ -399,14 +402,10 @@ class ProgressiveKDTree(BaseIndex):
         for child in (left, right):
             if child.size <= self.size_threshold:
                 child.converged = True
-            else:
-                self._open.append(child)
 
     def _drop_open(self, piece: Piece) -> None:
-        try:
-            self._open.remove(piece)
-        except ValueError:
-            pass
+        """Retire an unsplittable piece from the frontier."""
+        self._tree.frontier.drop(piece)
         if self._active is piece:
             self._active = None
 
@@ -418,16 +417,13 @@ class ProgressiveKDTree(BaseIndex):
         """
         if self._active is not None and not self._active.converged:
             return self._active
-        open_set = {id(piece) for piece in self._open}
-        needed = [
-            match.piece
-            for match in self._tree.search(query, stats)
-            if id(match.piece) in open_set
-        ]
-        if needed:
-            chosen = max(needed, key=lambda piece: piece.size)
-        else:
-            chosen = max(self._open, key=lambda piece: piece.size)
+        frontier = self._tree.frontier
+        reach = frontier.reach(query)
+        # The lookup a fresh descent would pay, charged per pick.
+        stats.lookup_nodes += reach.visited
+        chosen = reach.largest()
+        if chosen is None:
+            chosen = frontier.largest()
         self._active = chosen
         return chosen
 
@@ -469,20 +465,19 @@ class ProgressiveKDTree(BaseIndex):
             chosen.append(piece)
             return len(chosen) >= limit
 
-        in_progress = [piece for piece in self._open if piece.job is not None]
+        frontier = self._tree.frontier
+        in_progress = [
+            piece for piece in frontier.pieces() if piece.job is not None
+        ]
         for piece in sorted(in_progress, key=lambda piece: piece.start):
             if consider(piece):
                 return chosen
-        open_ids = {id(piece) for piece in self._open}
-        needed = [
-            match.piece
-            for match in self._tree.search(query, stats)
-            if id(match.piece) in open_ids
-        ]
-        for piece in sorted(needed, key=lambda p: (-p.size, p.start)):
+        reach = frontier.reach(query)
+        stats.lookup_nodes += reach.visited
+        for piece in _largest_first(reach.pieces):
             if consider(piece):
                 return chosen
-        for piece in sorted(self._open, key=lambda p: (-p.size, p.start)):
+        for piece in _largest_first(frontier.pieces()):
             if consider(piece):
                 return chosen
         return chosen
@@ -505,8 +500,9 @@ class ProgressiveKDTree(BaseIndex):
         model = self.cost_model
         row_seconds = model.refinement_row_seconds()
         workers = parallel_config.fanout_workers()
+        frontier = self._tree.frontier
         used_total = 0
-        while budget_rows > 0 and self._open:
+        while budget_rows > 0 and frontier:
             before = model.seconds_of(stats)
             ready = self._pick_pieces(query, stats, workers)
             budget_rows -= int((model.seconds_of(stats) - before) / row_seconds)
@@ -533,7 +529,7 @@ class ProgressiveKDTree(BaseIndex):
             for piece, _ in pairs:
                 if piece.job is not None and piece.job.done:
                     self._complete_piece(piece, stats)
-        if not self._open:
+        if not frontier:
             self.phase = CONVERGED
         return used_total
 
@@ -647,7 +643,7 @@ class ProgressiveKDTree(BaseIndex):
         """
         if self.phase == CREATION:
             return None
-        return len(self._open)
+        return len(self._tree.frontier)
 
     @property
     def convergence_rows_estimate(self) -> Optional[int]:
@@ -656,7 +652,7 @@ class ProgressiveKDTree(BaseIndex):
         During creation: the rows still to copy plus the model's full
         refinement estimate for the whole table (the tree does not exist
         yet, so the open-piece work list is the table itself).  During
-        refinement: the priced work list.  ``list(self._open)`` snapshots
+        refinement: the priced work list.  ``frontier.pieces()`` snapshots
         the work list so a concurrent refinement slice (the serve-layer
         scheduler runs on its own thread) cannot mutate it mid-walk —
         the estimate may be one slice stale, never torn.
@@ -670,7 +666,8 @@ class ProgressiveKDTree(BaseIndex):
                 (self.n_rows,), self.size_threshold
             )
         return model.rows_to_converge(
-            (piece.size for piece in list(self._open)), self.size_threshold
+            (piece.size for piece in self._tree.frontier.pieces()),
+            self.size_threshold,
         )
 
     @property
@@ -714,7 +711,9 @@ class ProgressiveKDTree(BaseIndex):
             index_table=self._index,
             size_threshold=self.size_threshold,
             filled_ranges=filled,
-            open_pieces=list(self._open),
+            open_pieces=(
+                [] if self._tree is None else self._tree.frontier.pieces()
+            ),
             phase=self.phase,
             extras={
                 "pivot0": self._pivot0,
@@ -724,3 +723,11 @@ class ProgressiveKDTree(BaseIndex):
                 "active_piece": self._active,
             },
         )
+
+
+def _largest_first(pieces: Iterable[Piece]) -> Iterator[Piece]:
+    """``pieces`` by ``(-size, start)``, sorted only as far as consumed."""
+    heap = [(-piece.size, piece.start, piece) for piece in pieces]
+    heapify(heap)
+    while heap:
+        yield heappop(heap)[2]

@@ -49,6 +49,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError, InvalidTableError
 from ..obs import metrics as obs_metrics
+from .frontier import left_to_right
 from .index_base import BaseIndex
 from .kdtree import KDTree
 from .metrics import PhaseTimer, QueryStats
@@ -561,19 +562,22 @@ class AdaptiveTablePartitioner(BaseIndex):
         self._storage = self.table.copy_columns()
         self._rowids = np.arange(self.table.n_rows, dtype=np.int64)
         self._tree = KDTree(self.table.n_rows, self.n_dims)
+        self._tree.open_frontier(self.size_threshold)
         stats.copied += self.table.n_rows * (self.table.n_columns + 1)
 
     def _adapt(self, query: RangeQuery, stats: QueryStats) -> None:
         all_arrays = self._storage + [self._rowids]
         width = len(all_arrays)
+        frontier = self._tree.frontier
+        if not frontier:
+            return
+        # One uncharged descent per query; the frontier keeps the reached
+        # set current across the pairs (see AdaptiveKDTree._adapt).
+        reached = frontier.reach(query).pieces
         for dim, value in query.adaptation_pairs():
-            targets = [
-                (piece, lob, hib)
-                for piece, lob, hib in self._tree.iter_leaves_with_bounds(query)
-                if piece.size > self.size_threshold
-            ]
             key_index = self.dimension_positions[dim]
-            for piece, lob, hib in targets:
+            for piece in left_to_right(reached):
+                lob, hib = frontier.box(piece)
                 if not (lob[dim] < value < hib[dim]):
                     continue
                 split = stable_partition(

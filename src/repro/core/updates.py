@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError, InvalidTableError
 from .adaptive_kdtree import AdaptiveKDTree
+from .frontier import left_to_right
 from .kdtree import KDTree
 from .metrics import PhaseTimer, QueryStats
 from .node import KDNode
@@ -190,16 +191,14 @@ class AppendableAdaptiveKDTree(AdaptiveKDTree):
                 [float(column.min()) for column in merged_columns],
                 [float(column.max()) for column in merged_columns],
             )
-        self._open_pieces = 1 if n_merged > self.size_threshold else 0
+        frontier = self._tree.open_frontier(self.size_threshold)
         # Re-crack along the old pivots, skipping ones that no longer split.
         arrays = self._index.all_arrays
         for dim, key in pivots:
-            targets = [
-                (piece, lob, hib)
-                for piece, lob, hib in self._tree.iter_leaves_with_bounds()
-                if piece.size > self.size_threshold and lob[dim] < key < hib[dim]
-            ]
-            for piece, lob, hib in targets:
+            for piece in left_to_right(frontier.pieces()):
+                lob, hib = frontier.box(piece)
+                if not (lob[dim] < key < hib[dim]):
+                    continue
                 split = stable_partition(arrays, piece.start, piece.end, dim, key)
                 stats.copied += piece.size * (self.n_dims + 1)
                 if split == piece.start or split == piece.end:

@@ -8,8 +8,9 @@ the correctness contract:
   (the paper's master invariant, via the same reference used by
   :mod:`repro.validation`);
 * the *structure* — the full invariant suite of :mod:`repro.invariants`,
-  including cross-query monotonicity and (on integer-valued data) the
-  converged-tree determinism check.
+  including cross-query monotonicity, the open-piece frontier cross-check
+  (I12: the refinement work queue against a real walk of the tree) and,
+  on integer-valued data, the converged-tree determinism check.
 
 Workload kinds cover the regimes where incremental indexes break:
 ``uniform`` boxes, ``skewed`` lognormal data with hotspot queries,

@@ -61,6 +61,12 @@ I11 **Arena mirror** — when a KD-Tree carries a flat arena
     leaf identity (the live piece object, back-linked via
     ``arena_id``), zone-map columns, and the stored path bounds the
     residual-check flags derive from; no orphan slots.
+I12 **Open-piece frontier** — when a KD-Tree carries a frontier
+    (:mod:`repro.core.frontier`), it agrees with a real walk: its
+    members are exactly the unconverged above-threshold leaves, every
+    stored box equals the leaf's path bounds, the heap top is a largest
+    open piece, and a current reach memo reports the node count, the
+    reached open pieces and the largest pick of a fresh descent.
 
 Backends whose structure is not a KD-Tree participate through
 :meth:`BaseIndex.self_check` (QUASII hierarchy, cracker columns).
@@ -536,8 +542,8 @@ def structural_errors(index: BaseIndex) -> List[str]:
     The per-query workhorse: tree invariants (I1/I2) when a KD-Tree is
     materialised, alignment (I3), paused partitions (I4), convergence
     flags (I5), zone maps (I7/I8), refinement ownership (I9), the arena
-    mirror (I11) when the tree carries one, the PKD creation-phase
-    contract, and the backend's own
+    mirror (I11) and the open-piece frontier (I12) when the tree carries
+    them, the PKD creation-phase contract, and the backend's own
     :meth:`~repro.core.index_base.BaseIndex.self_check`.  Cross-query
     monotonicity and determinism need state or convergence and live in
     :class:`InvariantMonitor` / :func:`convergence_determinism_errors`.
@@ -553,6 +559,9 @@ def structural_errors(index: BaseIndex) -> List[str]:
         arena = getattr(state.tree, "arena", None)
         if arena is not None:  # I11
             problems.extend(arena.consistency_errors(state.tree))
+        frontier = getattr(state.tree, "frontier", None)
+        if frontier is not None:  # I12
+            problems.extend(frontier.consistency_errors())
     if state.extras.get("skip_alignment") is not True:
         problems.extend(alignment_errors(state))
     problems.extend(creation_state_errors(state))
