@@ -1,7 +1,7 @@
 """Core: the paper's three contributions and their shared substrate.
 
 * data model — :class:`Table`, :class:`RangeQuery`
-* shared machinery — scans, partitioning, the KD-Tree shell, metrics,
+* shared machinery — scans, partitioning, the KD-Tree, metrics,
   the cost model
 * contributions — :class:`AdaptiveKDTree`, :class:`ProgressiveKDTree`,
   :class:`GreedyProgressiveKDTree`
@@ -13,7 +13,7 @@ from .metrics import QueryStats, PHASES
 from .cost_model import CostModel, MachineProfile
 from .index_base import BaseIndex, IndexTable, QueryResult
 from .kdtree import KDTree, PieceMatch
-from .node import KDNode, Piece
+from .node import Piece
 from .adaptive_kdtree import AdaptiveKDTree
 from .progressive_kdtree import ProgressiveKDTree
 from .greedy_progressive import GreedyProgressiveKDTree
@@ -66,7 +66,6 @@ __all__ = [
     "QueryResult",
     "KDTree",
     "PieceMatch",
-    "KDNode",
     "Piece",
     "AdaptiveKDTree",
     "ProgressiveKDTree",

@@ -74,8 +74,6 @@ class AggregateReader:
 
     def _matches(self, query: RangeQuery, stats: QueryStats):
         for match in self._tree().search(query, stats):
-            # any() over the flags works for both flag layouts: ndarray
-            # (object-graph search) and tuple (arena search).
             covered = not any(match.check_low) and not any(match.check_high)
             yield match, covered
 

@@ -1,13 +1,9 @@
-"""Flat structure-of-arrays KD-tree arena.
+"""The KD-tree itself: a flat structure-of-arrays arena.
 
-The object-graph tree (:mod:`repro.core.node`) is the *authoritative*
-structure — refinement policies mutate it and the invariant suite walks
-it — but answering a converged query through it means chasing Python
-object pointers and copying per-node bound vectors on every descent.
-This module keeps a mirrored *flat arena*: preorder-appended parallel
-arrays ``(dim, key, split, left_child, piece_lo, piece_hi, zone_min,
-zone_max)`` plus the per-node path bounds the residual-check flags are
-derived from.
+Every KD index keeps its tree here and nowhere else.  Internal nodes are
+nothing but a discriminator dimension, a key and the row offset that
+separates their children (Section III-A); leaves are the live
+:class:`~repro.core.node.Piece` objects the refinement policies work on.
 
 Layout
 ------
@@ -19,15 +15,13 @@ Node ``i`` of the arena is one slot across all parallel columns:
 * ``lefts[i]``    node id of the left child; the right child is always
   ``lefts[i] + 1`` (children are appended together), ``-1`` for leaves;
 * ``los[i]`` / ``his[i]``  the node's row range ``[lo, hi)``;
-* ``zone_lo[i]`` / ``zone_hi[i]``  the leaf's zone-map box (``None``
-  when the tree carries no synopsis);
 * ``path_lo[i]`` / ``path_hi[i]``  the exclusive-low / inclusive-high
   value bounds the root-to-node path implies (immutable float tuples,
   shared with the parent on the untightened side — tuple comparisons
   beat small-ndarray ones on the scalar descent's hot path);
 * ``pieces[i]``   the live :class:`~repro.core.node.Piece` for leaves
-  (``None`` for internal nodes) — scans still flow through the piece
-  object, so zone shortcuts and job windows keep one source of truth.
+  (``None`` for internal nodes) — scans flow through the piece object,
+  and so do zone maps, which live on the piece only.
 
 In-place split
 --------------
@@ -36,24 +30,29 @@ into an internal node (``dim``/``key``/``split`` overwritten, ``lefts``
 pointed at the end of the arrays) and the two children are appended.
 Node ids are therefore stable for the life of the tree, and the arena
 grows strictly append-only — exactly the property that lets the
-vectorized batch descent snapshot the arrays once per generation.
+vectorized batch descent snapshot the arrays once per generation.  It
+is also the one place a child's path box is derived from its parent's.
+
+Traversal order
+---------------
+Slots are numbered in split order, not left to right.  Every walk
+therefore starts at slot 0 and pushes the right child before the left
+one, so it meets nodes in preorder and leaves left to right — the order
+the frontier's insertion ties and AKD's build queue depend on.
 
 Descent
 -------
-:meth:`search` is the scalar twin of :meth:`KDTree.search
-<repro.core.kdtree.KDTree.search>`: identical traversal order (right
-subtree first off the stack), identical ``lookup_nodes`` accounting
-(every popped node counts, empty leaves included), and identical
-residual-check flags (the stored path bounds are built with the same
-tighten-on-copy rule the object descent applies).  :meth:`search_batch`
-answers B queries in one frontier-vectorized pass over the snapshot
-arrays; an optional numba kernel (:mod:`repro.kernels`) takes over the
-frontier loop when available, with silent NumPy fallback.
+:meth:`search` pops the right subtree first and charges every popped
+node (empty leaves included) to ``lookup_nodes``; residual-check flags
+come from the stored path bounds.  :meth:`search_batch` answers B
+queries in one frontier-vectorized pass over the snapshot arrays with
+the same matches, flags and charges; an optional numba kernel
+(:mod:`repro.kernels`) takes over the frontier loop when available,
+with silent NumPy fallback.
 """
 
 from __future__ import annotations
 
-import os
 from operator import gt, lt
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -62,44 +61,18 @@ import numpy as np
 from ..errors import IndexStateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .kdtree import KDTree, PieceMatch
+    from .kdtree import PieceMatch
     from .node import Piece
     from .query import RangeQuery
 
-__all__ = ["Arena", "arena_default", "set_arena_default"]
+__all__ = ["Arena"]
 
 #: Sentinel dim marking a leaf slot.
 LEAF = -1
 
 
-def _env_default() -> bool:
-    value = os.environ.get("REPRO_ARENA", "1").strip().lower()
-    return value not in ("0", "off", "false", "no", "")
-
-
-_DEFAULT_ENABLED = _env_default()
-
-
-def arena_default() -> bool:
-    """Whether newly built KD-Trees mirror into a flat arena.
-
-    Defaults to on; ``REPRO_ARENA=0`` (or :func:`set_arena_default`)
-    restores the pure object-graph path, which stays behaviourally
-    bit-identical — that equivalence is what the arena property suite
-    and ``python -m repro.fuzz --arena`` enforce.
-    """
-    return _DEFAULT_ENABLED
-
-
-def set_arena_default(enabled: bool) -> bool:
-    """Set the process-global arena default; returns the new value."""
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
-    return _DEFAULT_ENABLED
-
-
 class Arena:
-    """Flat SoA mirror of one :class:`~repro.core.kdtree.KDTree`."""
+    """The node columns of one :class:`~repro.core.kdtree.KDTree`."""
 
     __slots__ = (
         "n_dims",
@@ -109,8 +82,6 @@ class Arena:
         "lefts",
         "los",
         "his",
-        "zone_lo",
-        "zone_hi",
         "path_lo",
         "path_hi",
         "pieces",
@@ -127,8 +98,6 @@ class Arena:
         self.lefts: List[int] = []
         self.los: List[int] = []
         self.his: List[int] = []
-        self.zone_lo: List[Optional[Tuple[float, ...]]] = []
-        self.zone_hi: List[Optional[Tuple[float, ...]]] = []
         self.path_lo: List[Tuple[float, ...]] = []
         self.path_hi: List[Tuple[float, ...]] = []
         self.pieces: List[Optional["Piece"]] = []
@@ -166,8 +135,6 @@ class Arena:
         self.lefts.append(-1)
         self.los.append(piece.start)
         self.his.append(piece.end)
-        self.zone_lo.append(piece.zone_lo)
-        self.zone_hi.append(piece.zone_hi)
         self.path_lo.append(path_lo)
         self.path_hi.append(path_hi)
         self.pieces.append(piece)
@@ -186,11 +153,10 @@ class Arena:
     ) -> None:
         """Patch the split leaf into an internal node and append children.
 
-        Called by :meth:`KDTree.split_leaf` after the object-graph side
-        succeeded; ``left``/``right`` already carry their (tightened)
-        zone maps.  The children's path bounds follow the exact
-        copy-then-tighten rule of the object descent, so the residual
-        check flags stay bit-identical.
+        Called by :meth:`KDTree.split_leaf` before anything else
+        changes, so a rejected split leaves the tree untouched.  Each
+        child's path box is its parent's, tightened on ``dim`` to
+        ``key``: the left child's high side, the right child's low side.
         """
         node = piece.arena_id
         if node is None or self.pieces[node] is not piece:
@@ -211,104 +177,26 @@ class Arena:
         self.keys[node] = key
         self.splits[node] = split
         self.lefts[node] = len(self.dims)
-        self.zone_lo[node] = None
-        self.zone_hi[node] = None
         self.pieces[node] = None
         piece.arena_id = None
         self._append_leaf(left, parent_lo, child_hi)
         self._append_leaf(right, child_lo, parent_hi)
 
     def sync_zone(self, piece: "Piece") -> None:
-        """Refresh a leaf's zone-map columns from its piece object
-        (refinement tightens zones outside :meth:`apply_split`)."""
+        """Note that a leaf's zone map was tightened outside a split.
+
+        Zones live on the piece; the batch snapshot copies them, so the
+        change must invalidate it like any structural mutation.
+        """
         node = piece.arena_id
         if node is None or self.pieces[node] is not piece:
             raise IndexStateError("zone sync for a piece not in the arena")
-        self.zone_lo[node] = piece.zone_lo
-        self.zone_hi[node] = piece.zone_hi
-        # The batch snapshot caches zone columns too; a zone refresh must
-        # invalidate it like any structural mutation.
         self.generation += 1
-
-    def _append_stub(
-        self,
-        node,
-        path_lo: Tuple[float, ...],
-        path_hi: Tuple[float, ...],
-    ) -> int:
-        """Reserve a slot for an internal node to be patched when visited."""
-        slot = len(self.dims)
-        self.dims.append(LEAF)  # patched by the from_tree replay
-        self.keys.append(0.0)
-        self.splits.append(0)
-        self.lefts.append(-1)
-        self.los.append(node.start)
-        self.his.append(node.end)
-        self.zone_lo.append(None)
-        self.zone_hi.append(None)
-        self.path_lo.append(path_lo)
-        self.path_hi.append(path_hi)
-        self.pieces.append(None)
-        return slot
-
-    @classmethod
-    def from_tree(cls, tree: "KDTree") -> "Arena":
-        """Mirror an existing object-graph tree (e.g. a decoded snapshot).
-
-        Replays the splits: every internal node's slot is patched and its
-        two children appended *together*, so the right child is always
-        ``left + 1`` — the same adjacency incremental construction via
-        :meth:`apply_split` produces.  Every live leaf piece gets its
-        ``arena_id`` stamped.
-        """
-        from .node import Piece
-
-        arena = cls(tree.n_dims)
-        root = tree.root
-        neg_inf = (-np.inf,) * tree.n_dims
-        pos_inf = (np.inf,) * tree.n_dims
-        if isinstance(root, Piece):
-            arena.register_root(root)
-            return arena
-        stack = [(root, arena._append_stub(root, neg_inf, pos_inf))]
-        while stack:
-            node, slot = stack.pop()
-            dim = node.dim
-            key = float(node.key)
-            parent_lo = arena.path_lo[slot]
-            parent_hi = arena.path_hi[slot]
-            if key < parent_hi[dim]:
-                child_hi = parent_hi[:dim] + (key,) + parent_hi[dim + 1 :]
-            else:
-                child_hi = parent_hi
-            if key > parent_lo[dim]:
-                child_lo = parent_lo[:dim] + (key,) + parent_lo[dim + 1 :]
-            else:
-                child_lo = parent_lo
-            arena.dims[slot] = dim
-            arena.keys[slot] = key
-            arena.splits[slot] = node.split
-            arena.lefts[slot] = len(arena.dims)
-            left, right = node.left, node.right
-            if isinstance(left, Piece):
-                arena._append_leaf(left, parent_lo, child_hi)
-            else:
-                stack.append(
-                    (left, arena._append_stub(left, parent_lo, child_hi))
-                )
-            if isinstance(right, Piece):
-                arena._append_leaf(right, child_lo, parent_hi)
-            else:
-                stack.append(
-                    (right, arena._append_stub(right, child_lo, parent_hi))
-                )
-        arena.generation += 1
-        return arena
 
     # ------------------------------------------------------------- descent
 
     def search(self, query: "RangeQuery", stats) -> List["PieceMatch"]:
-        """Scalar descent — the bit-identical twin of the object search."""
+        """Scalar descent: the matched non-empty leaves, right subtree first."""
         from .kdtree import PieceMatch
 
         dims = self.dims
@@ -392,14 +280,20 @@ class Arena:
         """Generation-cached NumPy snapshot of the structural columns.
 
         Besides the descent arrays, the snapshot carries 2D copies of the
-        per-slot path bounds and zone boxes (``path_lo2``/``path_hi2``,
-        ``zone_lo2``/``zone_hi2`` with ``has_zone`` flagging real
-        entries — absent zones hold zero filler), so the batch pipeline
-        can compute residual check flags and zone shortcuts with one
-        fancy-indexing gather instead of per-leaf Python.
+        per-slot path bounds and the leaves' zone boxes, read off their
+        pieces (``path_lo2``/``path_hi2``, ``zone_lo2``/``zone_hi2`` with
+        ``has_zone`` flagging real entries — absent zones hold zero
+        filler), so the batch pipeline can compute residual check flags
+        and zone shortcuts with one fancy-indexing gather instead of
+        per-leaf Python.
         """
         if self._snapshot_generation != self.generation:
             no_zone = (0.0,) * self.n_dims
+            zones = [
+                None if piece is None or piece.zone_lo is None
+                else (piece.zone_lo, piece.zone_hi)
+                for piece in self.pieces
+            ]
             self._snapshot = {
                 "dims": np.asarray(self.dims, dtype=np.int32),
                 "keys": np.asarray(self.keys, dtype=np.float64),
@@ -409,22 +303,14 @@ class Arena:
                 "path_lo2": np.array(self.path_lo, dtype=np.float64),
                 "path_hi2": np.array(self.path_hi, dtype=np.float64),
                 "has_zone": np.fromiter(
-                    (zone is not None for zone in self.zone_lo),
-                    np.bool_,
-                    len(self.zone_lo),
+                    (zone is not None for zone in zones), np.bool_, len(zones)
                 ),
                 "zone_lo2": np.array(
-                    [
-                        zone if zone is not None else no_zone
-                        for zone in self.zone_lo
-                    ],
+                    [no_zone if zone is None else zone[0] for zone in zones],
                     dtype=np.float64,
                 ),
                 "zone_hi2": np.array(
-                    [
-                        zone if zone is not None else no_zone
-                        for zone in self.zone_hi
-                    ],
+                    [no_zone if zone is None else zone[1] for zone in zones],
                     dtype=np.float64,
                 ),
             }
@@ -442,7 +328,7 @@ class Arena:
         and ``visited[q]`` counting every node its pruned descent would
         pop, empty leaves included.  This is the array-native input of
         the converged batch pipeline; :meth:`search_batch` wraps it into
-        per-query :class:`PieceMatch` lists for the object-graph paths.
+        per-query :class:`PieceMatch` lists for the parallel scan path.
         """
         n_queries = len(queries)
         n_dims = self.n_dims
@@ -530,101 +416,6 @@ class Arena:
             ]
             out.append((matches, int(visited[position])))
         return out
-
-    # ----------------------------------------------------------- validation
-
-    def consistency_errors(self, tree: "KDTree") -> List[str]:
-        """Invariant I11: the arena mirrors the object graph exactly.
-
-        Walks the object tree and checks, node by node, that the arena
-        slot recorded for it agrees on structure (dim/key/split/range/
-        children adjacency), leaf identity (the live piece object),
-        zone-map columns, and path bounds.  Every divergence is
-        reported; an empty list is a clean bill of health.
-        """
-        from .node import Piece
-
-        problems: List[str] = []
-        neg_inf = np.full(tree.n_dims, -np.inf)
-        pos_inf = np.full(tree.n_dims, np.inf)
-        seen = 0
-        stack: List[Tuple[object, int, np.ndarray, np.ndarray]] = [
-            (tree.root, 0, neg_inf, pos_inf)
-        ]
-        while stack:
-            node, slot, lob, hib = stack.pop()
-            seen += 1
-            if slot < 0 or slot >= len(self.dims):
-                problems.append(f"arena id {slot} out of range")
-                continue
-            if self.los[slot] != node.start or self.his[slot] != node.end:
-                problems.append(
-                    f"arena node {slot} range [{self.los[slot]},{self.his[slot]}) "
-                    f"!= tree range [{node.start},{node.end})"
-                )
-            if not (
-                np.array_equal(self.path_lo[slot], lob)
-                and np.array_equal(self.path_hi[slot], hib)
-            ):
-                problems.append(f"arena node {slot} path bounds diverge")
-            if isinstance(node, Piece):
-                if self.dims[slot] != LEAF:
-                    problems.append(
-                        f"arena node {slot} is internal, tree has a leaf"
-                    )
-                    continue
-                if self.pieces[slot] is not node:
-                    problems.append(
-                        f"arena leaf {slot} holds a stale piece object"
-                    )
-                if node.arena_id != slot:
-                    problems.append(
-                        f"piece [{node.start},{node.end}) arena_id "
-                        f"{node.arena_id} != slot {slot}"
-                    )
-                if (
-                    self.zone_lo[slot] != node.zone_lo
-                    or self.zone_hi[slot] != node.zone_hi
-                ):
-                    problems.append(f"arena leaf {slot} zone map diverges")
-                continue
-            if self.dims[slot] == LEAF:
-                problems.append(f"arena node {slot} is a leaf, tree is internal")
-                continue
-            if (
-                self.dims[slot] != node.dim
-                or self.keys[slot] != float(node.key)
-                or self.splits[slot] != node.split
-            ):
-                problems.append(
-                    f"arena node {slot} (dim,key,split)=({self.dims[slot]},"
-                    f"{self.keys[slot]},{self.splits[slot]}) != tree "
-                    f"({node.dim},{node.key},{node.split})"
-                )
-            child = self.lefts[slot]
-            if child < 0 or child + 1 >= len(self.dims):
-                problems.append(f"arena node {slot} has bad children {child}")
-                continue
-            key = float(node.key)
-            child_hib = hib.copy()
-            if key < child_hib[node.dim]:
-                child_hib[node.dim] = key
-            child_lob = lob.copy()
-            if key > child_lob[node.dim]:
-                child_lob[node.dim] = key
-            stack.append((node.right, child + 1, child_lob, hib))
-            stack.append((node.left, child, lob, child_hib))
-        live = sum(1 for dim in self.dims if dim == LEAF)
-        reachable_leaves = tree.leaf_count
-        if live != reachable_leaves:
-            problems.append(
-                f"arena holds {live} leaf slots, tree has {reachable_leaves} leaves"
-            )
-        if seen != len(self.dims):
-            problems.append(
-                f"arena holds {len(self.dims)} slots, tree walk reached {seen}"
-            )
-        return problems
 
 
 def _numpy_descend(

@@ -7,10 +7,7 @@ and its answer only changes where a leaf was just split.  A
 of re-deriving it by descent:
 
 * the **open set**: every leaf above the size threshold that is not
-  flagged converged, each with the path box ``(lo, hi)`` (exclusive
-  low / inclusive high bound tuples) derived from its parent's entry
-  at split time with the descent's own copy-then-tighten rule — so it
-  is independent of whether the tree carries an arena;
+  flagged converged (a piece's path box is read off the tree's arena);
 * a lazy-deletion **heap** over the open set for "largest open piece,
   earliest-inserted on ties";
 * one :class:`Reach` memo: the open pieces a query's descent reaches
@@ -96,7 +93,7 @@ class Frontier:
         "tree",
         "size_threshold",
         "generation",
-        "_boxes",
+        "_open",
         "_heap",
         "_inserted",
         "_reach",
@@ -110,7 +107,8 @@ class Frontier:
         #: while its own generation matches, so a structural change the
         #: frontier could not patch it for invalidates it.
         self.generation = 0
-        self._boxes: Dict["Piece", Tuple[Bounds, Bounds]] = {}
+        #: The open pieces in insertion order (dict keys; values unused).
+        self._open: Dict["Piece", None] = {}
         self._heap: List[Tuple[int, int, "Piece"]] = []
         self._inserted = 0
         self._reach: Optional[Reach] = None
@@ -119,30 +117,22 @@ class Frontier:
             (-infinity,) * tree.n_dims,
             (infinity,) * tree.n_dims,
         )
-        if tree.root.is_leaf():
-            # A fresh tree (every index starts here): nothing to walk.
-            leaves = [(tree.root,) + self._unbounded]
-        else:
-            leaves = (
-                (leaf, tuple(lob.tolist()), tuple(hib.tolist()))
-                for leaf, lob, hib in tree.iter_leaves_with_bounds()
-            )
-        for leaf, lo, hi in leaves:
+        for leaf in tree.iter_leaves():
             if self._is_open(leaf):
-                self._add(leaf, lo, hi)
+                self._add(leaf)
 
     def _is_open(self, piece: "Piece") -> bool:
         return piece.size > self.size_threshold and not piece.converged
 
-    def _add(self, piece: "Piece", lo: Bounds, hi: Bounds) -> None:
-        self._boxes[piece] = (lo, hi)
+    def _add(self, piece: "Piece") -> None:
+        self._open[piece] = None
         heappush(self._heap, (-piece.size, self._inserted, piece))
         self._inserted += 1
 
     # ---------------------------------------------------------------- reads
 
     def __len__(self) -> int:
-        return len(self._boxes)
+        return len(self._open)
 
     def pieces(self) -> List["Piece"]:
         """Snapshot of the open pieces in insertion order.
@@ -151,11 +141,13 @@ class Frontier:
         thread may call this while a refinement slice mutates the
         frontier: the result may be one split stale, never torn.
         """
-        return list(self._boxes)
+        return list(self._open)
 
     def box(self, piece: "Piece") -> Tuple[Bounds, Bounds]:
-        """The ``(lo, hi)`` path bounds of an open piece."""
-        return self._boxes[piece]
+        """The ``(lo, hi)`` path bounds of a leaf, from the tree's arena."""
+        arena = self.tree.arena
+        node = piece.arena_id
+        return arena.path_lo[node], arena.path_hi[node]
 
     def largest(self) -> "Piece":
         """The largest open piece (earliest-inserted on ties).
@@ -164,8 +156,8 @@ class Frontier:
         list.  The frontier must not be empty.
         """
         heap = self._heap
-        boxes = self._boxes
-        while heap[0][2] not in boxes:
+        open_pieces = self._open
+        while heap[0][2] not in open_pieces:
             heappop(heap)
         return heap[0][2]
 
@@ -187,16 +179,16 @@ class Frontier:
             and reach.generation == self.generation
         ):
             return reach
-        boxes = self._boxes
+        open_pieces = self._open
         if (query.lows_f, query.highs_f) == self._unbounded:
             visited = self.tree.node_count + self.tree.leaf_count
-            pieces = dict.fromkeys(boxes)
+            pieces = dict.fromkeys(open_pieces)
         else:
             scratch = QueryStats()
             pieces = {
                 match.piece: None
                 for match in self.tree.search(query, scratch)
-                if match.piece in boxes
+                if match.piece in open_pieces
             }
             visited = scratch.lookup_nodes
         reach = self._reach = Reach(query, self.generation, visited, pieces)
@@ -215,25 +207,22 @@ class Frontier:
         reached and not at all otherwise (an open piece is reached iff
         it is in the memo).
         """
-        box = self._boxes.pop(piece, None)
-        if box is None:
+        if piece not in self._open:
             # Below the threshold already (PKD's pivot-0 split of a tiny
             # table): the children cannot be open either, and a memo that
             # reached the piece cannot be patched — leave it behind.
             self.generation += 1
             return
+        del self._open[piece]
         reach = self._advance()
-        lo, hi = box
         key = float(key)
         threshold = self.size_threshold
         left_open = left.size > threshold
         right_open = right.size > threshold
         if left_open:
-            left_hi = hi[:dim] + (key,) + hi[dim + 1 :] if key < hi[dim] else hi
-            self._add(left, lo, left_hi)
+            self._add(left)
         if right_open:
-            right_lo = lo[:dim] + (key,) + lo[dim + 1 :] if key > lo[dim] else lo
-            self._add(right, right_lo, hi)
+            self._add(right)
         if reach is None or piece not in reach.pieces:
             return
         del reach.pieces[piece]
@@ -248,7 +237,7 @@ class Frontier:
 
     def drop(self, piece: "Piece") -> None:
         """Remove a piece that turned out to be unsplittable."""
-        self._boxes.pop(piece, None)
+        self._open.pop(piece, None)
         reach = self._advance()
         if reach is not None:
             reach.pieces.pop(piece, None)
@@ -269,36 +258,30 @@ class Frontier:
     def consistency_errors(self) -> List[str]:
         """Invariant I12: the frontier equals what a real walk finds.
 
-        Membership against the open leaves of a full walk, stored boxes
-        against the walk's path bounds, the heap top against the true
-        largest size, and a current reach memo against a fresh search
-        (node count, reached open pieces, largest pick).
+        Membership against the open leaves of a full walk, the heap top
+        against the true largest size, and a current reach memo against
+        a fresh search (node count, reached open pieces, largest pick).
+        The boxes need no check of their own: they are the arena's path
+        bounds, which the structural check (I2) recomputes from the root.
         """
         problems: List[str] = []
+        open_pieces = self._open
         expected = {
-            leaf: (tuple(lob.tolist()), tuple(hib.tolist()))
-            for leaf, lob, hib in self.tree.iter_leaves_with_bounds()
-            if self._is_open(leaf)
+            leaf for leaf in self.tree.iter_leaves() if self._is_open(leaf)
         }
-        for leaf, box in expected.items():
-            stored = self._boxes.get(leaf)
-            if stored is None:
+        for leaf in expected:
+            if leaf not in open_pieces:
                 problems.append(f"open {leaf!r} is missing from the frontier")
-            elif stored != box:
-                problems.append(
-                    f"frontier box {stored} of {leaf!r} diverges from its "
-                    f"path bounds {box}"
-                )
-        for piece in self._boxes:
+        for piece in open_pieces:
             if piece not in expected:
                 problems.append(f"frontier entry {piece!r} is not an open leaf")
-        if self._boxes:
-            largest = max(piece.size for piece in self._boxes)
-            live = [entry for entry in self._heap if entry[2] in self._boxes]
-            if len(live) != len(self._boxes):
+        if open_pieces:
+            largest = max(piece.size for piece in open_pieces)
+            live = [entry for entry in self._heap if entry[2] in open_pieces]
+            if len(live) != len(open_pieces):
                 problems.append(
                     f"frontier heap tracks {len(live)} of "
-                    f"{len(self._boxes)} open pieces"
+                    f"{len(open_pieces)} open pieces"
                 )
             elif self.largest().size != largest:
                 problems.append(

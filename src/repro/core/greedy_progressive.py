@@ -98,7 +98,7 @@ class GreedyProgressiveKDTree(ProgressiveKDTree):
             )
         self.query_limit = query_limit
         # Fused converged lookup: (query, matches, visited) carried from
-        # the pricing descent to the answering scan (arena tier only).
+        # the pricing descent to the answering scan.
         self._fused_lookup = None
         self._t_total: Optional[float] = None
         self._fixed_budget_seconds: Optional[float] = None  # GPFQ spreading
@@ -192,8 +192,7 @@ class GreedyProgressiveKDTree(ProgressiveKDTree):
         if self._tree is None:
             return model.full_scan_seconds()
         nodes_before = stats.lookup_nodes
-        arena = self._tree.arena
-        if arena is not None and self.phase == CONVERGED:
+        if self.phase == CONVERGED:
             # Fused pricing+answering descent: once the tree is frozen
             # the answering search visits exactly the nodes the pricing
             # probe would (the batch prelude already banks on this), so
@@ -204,13 +203,9 @@ class GreedyProgressiveKDTree(ProgressiveKDTree):
             touched = sum(match.piece.size for match in matches)
             visited = stats.lookup_nodes - nodes_before
             self._fused_lookup = (query, matches, visited)
-        elif arena is not None:
-            # Pricing-only descent: same visits, no match construction.
-            touched = arena.probe(query, stats)
-            visited = stats.lookup_nodes - nodes_before
         else:
-            matches = self._tree.search(query, stats)
-            touched = sum(match.piece.size for match in matches)
+            # Pricing-only descent: same visits, no match construction.
+            touched = self._tree.arena.probe(query, stats)
             visited = stats.lookup_nodes - nodes_before
         # The answering search after refinement re-pays roughly the same
         # node visits, so count them twice to stay conservative.

@@ -307,7 +307,7 @@ class BaseIndex(ABC):
         time (each may reorganise data, so adaptation order must match
         the sequential path exactly); once the backend reports it can
         batch (KD family, converged), the remaining queries share one
-        tree descent pass (vectorized over the arena when present) and
+        tree descent pass (vectorized over the arena) and
         one morsel/proc scan fan-out for the whole batch.
 
         Per-query wall-clock ``seconds`` on the batched tail is the batch
@@ -361,9 +361,9 @@ class BaseIndex(ABC):
 
         ``matches``/``visited`` come from the shared descent; the default
         covers backends whose converged query is exactly lookup + scan.
-        The arena pipeline passes ``matches=None`` plus the precomputed
-        ``touched`` row total (the only thing backends read matches for);
-        the object path leaves ``touched`` unset.
+        The array-native pipeline passes ``matches=None`` plus the
+        precomputed ``touched`` row total (the only thing backends read
+        matches for); the PieceMatch path leaves ``touched`` unset.
         """
         stats.lookup_nodes += visited
 
@@ -400,11 +400,10 @@ class BaseIndex(ABC):
         """The batched tail: shared descent, one scan fan-out, per-query
         stats replicated via the prelude/postlude hooks.
 
-        With an arena present and a guaranteed-serial scan tier, the
-        whole batch runs array-native (:meth:`_batch_arena_core`) — no
-        :class:`PieceMatch` objects exist at any point.  Otherwise the
-        object-graph path assembles per-query match jobs and hands them
-        to the executor, which may fan them out.  Both produce the same
+        With a guaranteed-serial scan tier the whole batch runs
+        array-native (:meth:`_batch_arena_core`) — no :class:`PieceMatch`
+        objects exist at any point.  Otherwise per-query match jobs go to
+        the executor, which may fan them out.  Both produce the same
         answers and counters.
         """
         from ..parallel import executor as parallel_executor
@@ -413,14 +412,13 @@ class BaseIndex(ABC):
         index_table = self.index_table
         begin = time.perf_counter()
         with kernels.pinned():
-            arena = getattr(tree, "arena", None)
-            if arena is not None and parallel_executor.batch_scan_serial():
+            if parallel_executor.batch_scan_serial():
                 stats_list, rows_per = self._batch_arena_core(
-                    arena, index_table, queries, parallel_executor
+                    tree.arena, index_table, queries, parallel_executor
                 )
             else:
                 stats_list, rows_per = self._batch_object_core(
-                    tree, arena, index_table, queries, parallel_executor
+                    tree.arena, index_table, queries, parallel_executor
                 )
         share = (time.perf_counter() - begin) / len(queries)
         results: List[QueryResult] = []
@@ -434,18 +432,10 @@ class BaseIndex(ABC):
         return results
 
     def _batch_object_core(
-        self, tree, arena, index_table, queries, parallel_executor
+        self, arena, index_table, queries, parallel_executor
     ):
         """Converged batch over PieceMatch objects (parallel-capable)."""
-        if arena is not None:
-            descents = arena.search_batch(queries)
-        else:
-            descents = []
-            for query in queries:
-                probe = QueryStats()
-                descents.append(
-                    (tree.search(query, probe), probe.lookup_nodes)
-                )
+        descents = arena.search_batch(queries)
         stats_list = [QueryStats() for _ in queries]
         jobs = []
         for query, stats, (matches, visited) in zip(

@@ -14,7 +14,6 @@ from typing import List
 import numpy as np
 
 from .kdtree import KDTree
-from .node import Piece
 
 __all__ = ["TreeSummary", "summarize_tree", "render_tree", "export_dot"]
 
@@ -52,19 +51,15 @@ def summarize_tree(tree: KDTree) -> TreeSummary:
     sizes: List[int] = []
     converged = 0
     dims_used = [0] * tree.n_dims
-    stack = [tree.root]
     n_internal = 0
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Piece):
-            sizes.append(node.size)
-            if node.converged:
+    for dim, piece in zip(tree.arena.dims, tree.arena.pieces):
+        if piece is not None:
+            sizes.append(piece.size)
+            if piece.converged:
                 converged += 1
         else:
             n_internal += 1
-            dims_used[node.dim] += 1
-            stack.append(node.left)
-            stack.append(node.right)
+            dims_used[dim] += 1
     height = tree.height()
     n_leaves = len(sizes)
     ideal = max(1, int(np.ceil(np.log2(max(2, n_leaves)))))
@@ -97,29 +92,28 @@ def render_tree(
             +-- [9,14)
     """
     lines: List[str] = []
+    arena = tree.arena
 
-    def visit(node, prefix: str, connector: str, depth: int) -> None:
+    def visit(node: int, prefix: str, connector: str, depth: int) -> None:
         if len(lines) >= max_nodes:
             return
-        if isinstance(node, Piece):
-            state = " converged" if node.converged else ""
-            job = " (partitioning)" if node.job is not None else ""
-            lines.append(
-                f"{prefix}{connector}[{node.start},{node.end}){state}{job}"
-            )
+        span = f"{prefix}{connector}[{arena.los[node]},{arena.his[node]})"
+        piece = arena.pieces[node]
+        if piece is not None:
+            state = " converged" if piece.converged else ""
+            job = " (partitioning)" if piece.job is not None else ""
+            lines.append(f"{span}{state}{job}")
             return
-        lines.append(
-            f"{prefix}{connector}[{node.start},{node.end}) "
-            f"dim{node.dim} <= {node.key:g}"
-        )
+        lines.append(f"{span} dim{arena.dims[node]} <= {arena.keys[node]:g}")
         if depth >= max_depth:
             lines.append(f"{prefix}    ... (deeper levels elided)")
             return
         child_prefix = prefix + ("    " if connector else "")
-        visit(node.left, child_prefix, "+-- ", depth + 1)
-        visit(node.right, child_prefix, "+-- ", depth + 1)
+        child = arena.lefts[node]
+        visit(child, child_prefix, "+-- ", depth + 1)
+        visit(child + 1, child_prefix, "+-- ", depth + 1)
 
-    visit(tree.root, "", "", 0)
+    visit(0, "", "", 0)
     if len(lines) >= max_nodes:
         lines.append(f"... ({max_nodes}-line limit reached)")
     return "\n".join(lines)
@@ -128,27 +122,29 @@ def render_tree(
 def export_dot(tree: KDTree, name: str = "kdtree") -> str:
     """Graphviz DOT text for the tree (paste into ``dot -Tpng``)."""
     lines = [f"digraph {name} {{", "  node [shape=box, fontname=monospace];"]
+    arena = tree.arena
     counter = [0]
 
-    def visit(node) -> str:
+    def visit(node: int) -> str:
         identity = f"n{counter[0]}"
         counter[0] += 1
-        if isinstance(node, Piece):
-            label = f"[{node.start},{node.end})"
-            if node.converged:
-                label += "\\nconverged"
+        span = f"[{arena.los[node]},{arena.his[node]})"
+        piece = arena.pieces[node]
+        if piece is not None:
+            label = span + ("\\nconverged" if piece.converged else "")
             lines.append(f'  {identity} [label="{label}", style=filled];')
         else:
             lines.append(
-                f'  {identity} [label="dim{node.dim} <= {node.key:g}\\n'
-                f'[{node.start},{node.end})"];'
+                f'  {identity} [label="dim{arena.dims[node]} <= '
+                f'{arena.keys[node]:g}\\n{span}"];'
             )
-            left = visit(node.left)
-            right = visit(node.right)
+            child = arena.lefts[node]
+            left = visit(child)
+            right = visit(child + 1)
             lines.append(f"  {identity} -> {left};")
             lines.append(f"  {identity} -> {right};")
         return identity
 
-    visit(tree.root)
+    visit(0)
     lines.append("}")
     return "\n".join(lines)

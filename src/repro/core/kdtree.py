@@ -1,11 +1,11 @@
-"""The KD-Tree shell shared by all KD-based indexes.
+"""The KD-Tree shared by all KD-based indexes.
 
 This module provides the structure and traversals; the *policies* (what to
 use as pivots, when to split, how much work to spend) live in the index
 classes.  The tree starts as a single root :class:`Piece` covering
-``[0, n_rows)`` and grows by splitting leaves into :class:`KDNode` internal
-nodes, exactly mirroring how the paper's adaptation/refinement phases
-incrementally partition the index table.
+``[0, n_rows)`` and grows by splitting leaves in place in its arena
+(:class:`~repro.core.arena.Arena`), exactly mirroring how the paper's
+adaptation/refinement phases incrementally partition the index table.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import numpy as np
 
 from ..errors import IndexStateError
 from ..obs import trace as obs_trace
-from . import arena as arena_mod
+from .arena import Arena
 from .frontier import Frontier
 from .metrics import QueryStats
-from .node import AnyNode, KDNode, Piece
+from .node import Piece
 from .query import RangeQuery
 
 __all__ = ["KDTree", "PieceMatch"]
@@ -39,8 +39,8 @@ class PieceMatch:
     def __init__(
         self,
         piece: Piece,
-        check_low: np.ndarray,  # bool, shape (d,)
-        check_high: np.ndarray,  # bool, shape (d,)
+        check_low: Tuple[bool, ...],
+        check_high: Tuple[bool, ...],
     ) -> None:
         self.piece = piece
         self.check_low = check_low
@@ -53,52 +53,31 @@ class PieceMatch:
 class KDTree:
     """A KD-Tree over the row range ``[0, n_rows)`` of an index table.
 
-    When the arena default is on (:func:`repro.core.arena.arena_default`,
-    i.e. unless ``REPRO_ARENA=0``), the tree additionally maintains a
-    flat structure-of-arrays mirror (:class:`~repro.core.arena.Arena`):
-    every :meth:`split_leaf` patches it in place, and :meth:`search`
-    descends the flat arrays instead of the object graph — bit-identical
-    matches, residual-check flags, and ``lookup_nodes`` accounting, at a
-    fraction of the per-node cost.
+    The nodes live in one :class:`~repro.core.arena.Arena`: every
+    :meth:`split_leaf` patches it in place, and every descent and walk
+    reads its columns.
     """
 
-    def __init__(
-        self, n_rows: int, n_dims: int, use_arena: Optional[bool] = None
-    ) -> None:
+    def __init__(self, n_rows: int, n_dims: int) -> None:
         if n_rows < 0:
             raise IndexStateError(f"negative table size {n_rows}")
         if n_dims <= 0:
             raise IndexStateError(f"need at least one dimension, got {n_dims}")
         self.n_rows = n_rows
         self.n_dims = n_dims
-        self.root: AnyNode = Piece(0, n_rows, level=0)
         self.node_count = 0  # internal nodes
         self.leaf_count = 1
-        if use_arena is None:
-            use_arena = arena_mod.arena_default()
-        self.arena: Optional[arena_mod.Arena] = None
-        if use_arena:
-            self.arena = arena_mod.Arena(n_dims)
-            self.arena.register_root(self.root)
+        self.arena = Arena(n_dims)
+        self.arena.register_root(Piece(0, n_rows, level=0))
         #: Open-piece work queue of the incremental indexes; ``None``
         #: until :meth:`open_frontier` asks for one.
         self.frontier: Optional[Frontier] = None
-
-    def attach_arena(self) -> arena_mod.Arena:
-        """(Re)build the flat arena mirror from the current object graph.
-
-        Used by the snapshot decoder (which assembles the object graph
-        bottom-up, bypassing :meth:`split_leaf`) and by tests that flip
-        the arena on for an existing tree.
-        """
-        self.arena = arena_mod.Arena.from_tree(self)
-        return self.arena
 
     def open_frontier(self, size_threshold: int) -> Frontier:
         """(Re)build the open-piece frontier by one walk of the tree.
 
         Leaves above ``size_threshold`` that are not flagged converged
-        enter it with their path boxes; from here on every
+        enter it, left to right; from here on every
         :meth:`split_leaf` keeps it current.  Works on any tree — fresh,
         decoded from a snapshot, or re-cracked after a merge.
         """
@@ -110,7 +89,7 @@ class KDTree:
     def split_leaf(
         self, piece: Piece, dim: int, key: float, split: int
     ) -> Tuple[Piece, Piece]:
-        """Replace ``piece`` with an internal node splitting it at ``split``.
+        """Turn leaf ``piece`` into an internal node splitting it at ``split``.
 
         The caller must already have physically partitioned the rows of the
         piece so that ``[start, split)`` holds keys ``<= key`` and
@@ -138,12 +117,9 @@ class KDTree:
                 for d, bound in enumerate(piece.zone_lo)
             )
             right.zone_hi = piece.zone_hi
-        node = KDNode(dim, key, piece.start, split, piece.end, left, right)
-        self._replace(piece, node)
+        self.arena.apply_split(piece, dim, key, split, left, right)
         self.node_count += 1
         self.leaf_count += 1
-        if self.arena is not None:
-            self.arena.apply_split(piece, dim, key, split, left, right)
         if self.frontier is not None:
             self.frontier.on_split(piece, dim, key, left, right)
         if obs_trace.ENABLED:
@@ -173,128 +149,84 @@ class KDTree:
         """
         if self.n_rows == 0:
             return
-        if not self.root.is_leaf():
+        root = self.arena.pieces[0]
+        if root is None:
             raise IndexStateError("root zone must be seeded before any split")
-        self.root.zone_lo = tuple(float(b) for b in zone_lo)
-        self.root.zone_hi = tuple(float(b) for b in zone_hi)
-        if self.arena is not None:
-            self.arena.sync_zone(self.root)
-
-    def _replace(self, old: AnyNode, new: AnyNode) -> None:
-        parent = old.parent
-        new.parent = parent
-        if parent is None:
-            if self.root is not old:
-                raise IndexStateError("node to replace is not in this tree")
-            self.root = new
-        elif parent.left is old:
-            parent.left = new
-        elif parent.right is old:
-            parent.right = new
-        else:
-            raise IndexStateError("node is not a child of its recorded parent")
+        root.zone_lo = tuple(float(b) for b in zone_lo)
+        root.zone_hi = tuple(float(b) for b in zone_hi)
+        self.arena.sync_zone(root)
 
     # -- traversals ----------------------------------------------------------
 
     def search(self, query: RangeQuery, stats: QueryStats) -> List[PieceMatch]:
         """Index lookup: all leaf pieces that may contain query answers.
 
-        Implements the recursive descent of Section III-A ("Index Lookup"),
-        pruning subtrees the query cannot reach and recording which
-        predicate sides remain unchecked for each returned piece.
-
-        With an arena attached the descent runs over the flat arrays
-        (:meth:`Arena.search <repro.core.arena.Arena.search>`), which is
-        bit-identical — same match order (right subtree first), same
-        residual-check flags, same ``lookup_nodes`` charge — without the
-        per-node bound-vector copies below.
+        Implements the recursive descent of Section III-A ("Index Lookup")
+        over the arena (:meth:`Arena.search
+        <repro.core.arena.Arena.search>`): subtrees the query cannot reach
+        are pruned, and each returned piece records which predicate sides
+        its path does not already imply.
         """
-        if self.arena is not None:
-            return self.arena.search(query, stats)
-        matches: List[PieceMatch] = []
-        neg_inf = np.full(self.n_dims, -np.inf)
-        pos_inf = np.full(self.n_dims, np.inf)
-        stack: List[Tuple[AnyNode, np.ndarray, np.ndarray]] = [
-            (self.root, neg_inf, pos_inf)
-        ]
-        lows = query.lows
-        highs = query.highs
+        return self.arena.search(query, stats)
+
+    def preorder(self, query: Optional[RangeQuery] = None) -> Iterator[int]:
+        """Arena slots in preorder, leaves left to right.
+
+        With a ``query``, subtrees it cannot reach are pruned exactly as
+        :meth:`search` prunes them (empty leaves are still yielded).
+        """
+        arena = self.arena
+        dims = arena.dims
+        keys = arena.keys
+        lefts = arena.lefts
+        stack = [0]
         while stack:
-            node, lob, hib = stack.pop()
-            stats.lookup_nodes += 1
-            if node.is_leaf():
-                if node.size == 0:
-                    continue
-                check_low = lows > lob  # path does not already imply x > low
-                check_high = highs < hib  # nor x <= high
-                matches.append(PieceMatch(node, check_low, check_high))
+            node = stack.pop()
+            yield node
+            dim = dims[node]
+            if dim < 0:
                 continue
-            dim, key = node.dim, node.key
-            if lows[dim] < key:  # interval (low, key] non-empty
-                child_hib = hib.copy()
-                if key < child_hib[dim]:
-                    child_hib[dim] = key
-                stack.append((node.left, lob, child_hib))
-            if highs[dim] > key:  # interval (key, high] non-empty
-                child_lob = lob.copy()
-                if key > child_lob[dim]:
-                    child_lob[dim] = key
-                stack.append((node.right, child_lob, hib))
-        return matches
+            key = keys[node]
+            child = lefts[node]
+            if query is None or query.highs_f[dim] > key:
+                stack.append(child + 1)
+            if query is None or query.lows_f[dim] < key:
+                stack.append(child)
 
     def iter_leaves(self) -> Iterator[Piece]:
         """All leaf pieces, left to right."""
-        stack: List[AnyNode] = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                yield node
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
+        pieces = self.arena.pieces
+        for node in self.preorder():
+            piece = pieces[node]
+            if piece is not None:
+                yield piece
 
     def iter_leaves_with_bounds(
         self, query: Optional[RangeQuery] = None
-    ) -> Iterator[Tuple[Piece, np.ndarray, np.ndarray]]:
+    ) -> Iterator[Tuple[Piece, Tuple[float, ...], Tuple[float, ...]]]:
         """Leaves (optionally restricted to query-reachable ones) with the
         exclusive-low / inclusive-high value bounds their path implies."""
-        neg_inf = np.full(self.n_dims, -np.inf)
-        pos_inf = np.full(self.n_dims, np.inf)
-        stack: List[Tuple[AnyNode, np.ndarray, np.ndarray]] = [
-            (self.root, neg_inf, pos_inf)
-        ]
-        while stack:
-            node, lob, hib = stack.pop()
-            if node.is_leaf():
-                yield node, lob, hib
-                continue
-            dim, key = node.dim, node.key
-            if query is None or query.highs[dim] > key:
-                child_lob = lob.copy()
-                if key > child_lob[dim]:
-                    child_lob[dim] = key
-                stack.append((node.right, child_lob, hib))
-            if query is None or query.lows[dim] < key:
-                child_hib = hib.copy()
-                if key < child_hib[dim]:
-                    child_hib[dim] = key
-                stack.append((node.left, lob, child_hib))
+        arena = self.arena
+        pieces = arena.pieces
+        for node in self.preorder(query):
+            piece = pieces[node]
+            if piece is not None:
+                yield piece, arena.path_lo[node], arena.path_hi[node]
 
     def height(self) -> int:
         """Longest root-to-leaf path (a single piece has height 0)."""
-        best = 0
-        stack: List[Tuple[AnyNode, int]] = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.is_leaf():
-                best = max(best, depth)
-            else:
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
-        return best
+        return max(leaf.level for leaf in self.iter_leaves())
 
     def max_leaf_size(self) -> int:
-        return max((leaf.size for leaf in self.iter_leaves()), default=0)
+        arena = self.arena
+        return max(
+            (
+                hi - lo
+                for dim, lo, hi in zip(arena.dims, arena.los, arena.his)
+                if dim < 0
+            ),
+            default=0,
+        )
 
     def preorder_signature(self) -> List[Tuple[int, float, int]]:
         """Preorder ``(dim, key, split)`` triples; leaves are ``(-1, 0, 0)``.
@@ -304,17 +236,15 @@ class KDTree:
         determinism invariant (a converged progressive tree must match the
         up-front mean-pivot KD-Tree) and the serialize round-trip test.
         """
-        signature: List[Tuple[int, float, int]] = []
-        stack: List[AnyNode] = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                signature.append((-1, 0.0, 0))
-            else:
-                signature.append((node.dim, node.key, node.split))
-                stack.append(node.right)
-                stack.append(node.left)
-        return signature
+        arena = self.arena
+        dims = arena.dims
+        keys = arena.keys
+        splits = arena.splits
+        return [
+            (-1, 0.0, 0) if dims[node] < 0
+            else (dims[node], keys[node], splits[node])
+            for node in self.preorder()
+        ]
 
     # -- validation (used heavily by the test suite) --------------------------
 
@@ -326,39 +256,136 @@ class KDTree:
         * leaf ranges tile ``[0, n_rows)`` exactly, in order;
         * every internal node's split lies strictly inside its range and
           matches its children's ranges;
-        * every row of every leaf satisfies all path bounds — except rows
-          inside an unfinished incremental-partition window, which are by
-          definition not yet classified against the piece's own pivot (the
-          *path* bounds must still hold for them).
+        * every row of every leaf satisfies all path bounds;
+        * the arena is self-consistent: children are appended after
+          their parent and adjacent (the right child is ``left + 1``),
+          every slot is reached exactly once from the root (no orphans),
+          each leaf slot holds a live piece whose ``arena_id`` and row
+          range point back at it, and every stored path box equals the
+          one recomputed from the root — the residual-check flags of
+          every descent are derived from these boxes.
 
         Unlike :meth:`validate` this collects *every* breach, so the
         invariant tooling can report the full picture in one shot.
         """
         problems: List[str] = []
+        arena = self.arena
+        dims = arena.dims
+        keys = arena.keys
+        splits = arena.splits
+        lefts = arena.lefts
+        los = arena.los
+        his = arena.his
+        path_lo = arena.path_lo
+        path_hi = arena.path_hi
+        n_slots = len(arena)
+        unbounded = (-np.inf,) * self.n_dims, (np.inf,) * self.n_dims
+        if (path_lo[0], path_hi[0]) != unbounded:
+            problems.append("arena root carries finite path bounds")
+        reached = bytearray(n_slots)
+        reached[0] = 1
         expected_start = 0
-        for leaf, lob, hib in self.iter_leaves_with_bounds():
-            if leaf.start != expected_start:
-                problems.append(
-                    f"leaf gap: expected start {expected_start}, got {leaf.start}"
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            piece = arena.pieces[node]
+            dim = dims[node]
+            if dim < 0:
+                if piece is None:
+                    problems.append(f"arena leaf {node} holds no piece")
+                    continue
+                if piece.arena_id != node:
+                    problems.append(
+                        f"{piece!r} in arena slot {node} has arena_id "
+                        f"{piece.arena_id}"
+                    )
+                if (los[node], his[node]) != (piece.start, piece.end):
+                    problems.append(
+                        f"arena leaf {node} range [{los[node]},{his[node]}) "
+                        f"!= its piece [{piece.start},{piece.end})"
+                    )
+                if piece.start != expected_start:
+                    problems.append(
+                        f"leaf gap: expected start {expected_start}, "
+                        f"got {piece.start}"
+                    )
+                expected_start = piece.end
+                problems.extend(
+                    self._bound_errors(
+                        columns, piece, path_lo[node], path_hi[node]
+                    )
                 )
-            expected_start = leaf.end
-            for dim in range(self.n_dims):
-                values = columns[dim][leaf.start : leaf.end]
-                if np.isfinite(lob[dim]) and not (values > lob[dim]).all():
-                    problems.append(
-                        f"leaf [{leaf.start},{leaf.end}) violates lower bound "
-                        f"{lob[dim]} on dim {dim}"
-                    )
-                if np.isfinite(hib[dim]) and not (values <= hib[dim]).all():
-                    problems.append(
-                        f"leaf [{leaf.start},{leaf.end}) violates upper bound "
-                        f"{hib[dim]} on dim {dim}"
-                    )
+                continue
+            split = splits[node]
+            if piece is not None:
+                problems.append(f"internal node {node} still holds {piece!r}")
+            if not (los[node] < split < his[node]):
+                problems.append(
+                    f"bad split {split} in node {node} [{los[node]},{his[node]})"
+                )
+            left = lefts[node]
+            right = left + 1
+            if not (node < left and right < n_slots):
+                problems.append(f"node {node} has bad children {left}, {right}")
+                continue
+            if reached[left] or reached[right]:
+                problems.append(f"node {node} shares children with another node")
+                continue
+            reached[left] = reached[right] = 1
+            if los[left] != los[node] or his[left] != split:
+                problems.append(f"left child range mismatch under node {node}")
+            if los[right] != split or his[right] != his[node]:
+                problems.append(f"right child range mismatch under node {node}")
+            lo, hi = path_lo[node], path_hi[node]
+            key = keys[node]
+            if path_lo[left] != lo or path_hi[left] != tuple(
+                min(bound, key) if d == dim else bound
+                for d, bound in enumerate(hi)
+            ):
+                problems.append(
+                    f"left child {left} path bounds diverge from its path "
+                    f"under node {node}"
+                )
+            if path_hi[right] != hi or path_lo[right] != tuple(
+                max(bound, key) if d == dim else bound
+                for d, bound in enumerate(lo)
+            ):
+                problems.append(
+                    f"right child {right} path bounds diverge from its path "
+                    f"under node {node}"
+                )
+            stack.append(right)
+            stack.append(left)
         if expected_start != self.n_rows:
             problems.append(
                 f"leaves cover [0, {expected_start}), table has {self.n_rows} rows"
             )
-        self._internal_errors(self.root, problems)
+        orphans = n_slots - sum(reached)
+        if orphans:
+            problems.append(f"{orphans} arena slots are unreachable from the root")
+        return problems
+
+    def _bound_errors(
+        self,
+        columns: Sequence[np.ndarray],
+        leaf: Piece,
+        lob: Tuple[float, ...],
+        hib: Tuple[float, ...],
+    ) -> List[str]:
+        """Rows of ``leaf`` outside its path box (exclusive low, inclusive high)."""
+        problems: List[str] = []
+        for dim in range(self.n_dims):
+            values = columns[dim][leaf.start : leaf.end]
+            if np.isfinite(lob[dim]) and not (values > lob[dim]).all():
+                problems.append(
+                    f"leaf [{leaf.start},{leaf.end}) violates lower bound "
+                    f"{lob[dim]} on dim {dim}"
+                )
+            if np.isfinite(hib[dim]) and not (values <= hib[dim]).all():
+                problems.append(
+                    f"leaf [{leaf.start},{leaf.end}) violates upper bound "
+                    f"{hib[dim]} on dim {dim}"
+                )
         return problems
 
     def validate(self, columns: Sequence[np.ndarray]) -> None:
@@ -369,15 +396,3 @@ class KDTree:
         problems = self.structural_errors(columns)
         if problems:
             raise IndexStateError("; ".join(problems))
-
-    def _internal_errors(self, node: AnyNode, problems: List[str]) -> None:
-        if node.is_leaf():
-            return
-        if not (node.start < node.split < node.end):
-            problems.append(f"bad split in {node!r}")
-        if node.left.start != node.start or node.left.end != node.split:
-            problems.append(f"left child range mismatch under {node!r}")
-        if node.right.start != node.split or node.right.end != node.end:
-            problems.append(f"right child range mismatch under {node!r}")
-        self._internal_errors(node.left, problems)
-        self._internal_errors(node.right, problems)

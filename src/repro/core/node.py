@@ -1,10 +1,11 @@
-"""KD-Tree node types.
+"""KD-Tree leaf pieces.
 
 The KD-Tree is a *secondary* index over the index table (Section III-A,
 "Data Structures"): internal nodes carry a discriminator dimension, a key,
-and the position offset that separates the two children's row ranges;
-leaves ("pieces") are contiguous row ranges of the index table that have
-not been split (further).
+and the position offset that separates the two children's row ranges —
+they are nothing but columns of the tree's arena
+(:class:`~repro.core.arena.Arena`); leaves ("pieces") are contiguous row
+ranges of the index table that have not been split (further).
 
 Progressive leaves additionally carry the state needed to resume work
 across queries: the pivot chosen for their eventual split, the pausable
@@ -13,56 +14,11 @@ partition job, and a convergence flag.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .partition import IncrementalPartition
 
-__all__ = ["KDNode", "Piece", "AnyNode"]
-
-
-class KDNode:
-    """An internal KD-Tree node splitting ``[start, end)`` at ``split``.
-
-    Rows ``[start, split)`` satisfy ``column[dim] <= key``; rows
-    ``[split, end)`` satisfy ``column[dim] > key``.
-    """
-
-    __slots__ = ("dim", "key", "start", "split", "end", "left", "right", "parent")
-
-    def __init__(
-        self,
-        dim: int,
-        key: float,
-        start: int,
-        split: int,
-        end: int,
-        left: "AnyNode",
-        right: "AnyNode",
-        parent: Optional["KDNode"] = None,
-    ) -> None:
-        self.dim = dim
-        self.key = float(key)
-        self.start = start
-        self.split = split
-        self.end = end
-        self.left = left
-        self.right = right
-        self.parent = parent
-        left.parent = self
-        right.parent = self
-
-    @property
-    def size(self) -> int:
-        return self.end - self.start
-
-    def is_leaf(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return (
-            f"KDNode(dim={self.dim}, key={self.key:g}, "
-            f"[{self.start},{self.split},{self.end}))"
-        )
+__all__ = ["Piece"]
 
 
 class Piece:
@@ -94,9 +50,9 @@ class Piece:
         never narrower.  ``None`` on both means the piece carries no
         synopsis and scans proceed as before.
     arena_id:
-        This leaf's slot in the tree's flat arena mirror
-        (:class:`~repro.core.arena.Arena`), or ``None`` when the tree
-        carries no arena (or the piece was split and retired).
+        This leaf's slot in its tree's arena
+        (:class:`~repro.core.arena.Arena`); ``None`` once the piece was
+        split and retired.
     """
 
     __slots__ = (
@@ -108,7 +64,6 @@ class Piece:
         "job",
         "converged",
         "dims_tried",
-        "parent",
         "zone_lo",
         "zone_hi",
         "arena_id",
@@ -123,7 +78,6 @@ class Piece:
         self.job: Optional[IncrementalPartition] = None
         self.converged = False
         self.dims_tried = 0
-        self.parent: Optional[KDNode] = None
         self.zone_lo: Optional[Tuple[float, ...]] = None
         self.zone_hi: Optional[Tuple[float, ...]] = None
         self.arena_id: Optional[int] = None
@@ -131,9 +85,6 @@ class Piece:
     @property
     def size(self) -> int:
         return self.end - self.start
-
-    def is_leaf(self) -> bool:
-        return True
 
     def job_window(self) -> Optional[Tuple[int, int]]:
         """The unclassified row window ``[lo, hi)`` of a paused partition.
@@ -150,6 +101,3 @@ class Piece:
     def __repr__(self) -> str:
         state = "converged" if self.converged else "open"
         return f"Piece([{self.start},{self.end}), level={self.level}, {state})"
-
-
-AnyNode = Union[KDNode, Piece]

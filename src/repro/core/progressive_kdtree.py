@@ -226,7 +226,7 @@ class ProgressiveKDTree(BaseIndex):
                 self.table.minimums(), self.table.maximums()
             )
         split = self._top_write
-        root = self._tree.root
+        root = self._tree.arena.pieces[0]
         if 0 < split < self.n_rows:
             left, right = self._tree.split_leaf(root, 0, self._pivot0, split)
             stats.nodes_created += 1
@@ -310,8 +310,7 @@ class ProgressiveKDTree(BaseIndex):
                     min(bound, high) if d == dim else bound
                     for d, bound in enumerate(piece.zone_hi)
                 )
-                if self._tree.arena is not None:
-                    self._tree.arena.sync_zone(piece)
+                self._tree.arena.sync_zone(piece)
             if low < high:
                 pivot = float(values.mean())
                 if pivot >= high:

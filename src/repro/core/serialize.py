@@ -12,8 +12,9 @@ which reconstruct uniquely because every internal node's ranges are
 determined by its parent's range and split.  Two optional preorder-by-d
 float arrays carry the leaf zone maps (NaN rows for internal nodes and
 for leaves without a synopsis), so a reloaded index prunes and
-short-circuits scans exactly like the original — and its flat arena
-mirror (:mod:`repro.core.arena`) reconstructs byte-for-byte.
+short-circuits scans exactly like the original.  Decoding replays the
+splits in preorder, so the arena (:mod:`repro.core.arena`) is rebuilt by
+the same code that grew the original.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import IndexStateError
-from .arena import arena_default
 from .index_base import BaseIndex, IndexDebugState, IndexTable
 from .kdtree import KDTree
 from .metrics import PhaseTimer, QueryStats
-from .node import KDNode, Piece
 from .query import RangeQuery
 from .table import Table
 
@@ -40,34 +39,31 @@ LEAF = -1
 def _encode_tree(
     tree: KDTree,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    arena = tree.arena
     dims: List[int] = []
     keys: List[float] = []
     splits: List[int] = []
     zone_lo: List[Tuple[float, ...]] = []
     zone_hi: List[Tuple[float, ...]] = []
     nan_row = tuple([float("nan")] * tree.n_dims)
-
-    def visit(node) -> None:
-        if isinstance(node, Piece):
-            dims.append(LEAF)
-            keys.append(0.0)
-            splits.append(int(node.converged))
-            if node.zone_lo is not None and node.zone_hi is not None:
-                zone_lo.append(tuple(node.zone_lo))
-                zone_hi.append(tuple(node.zone_hi))
-            else:
-                zone_lo.append(nan_row)
-                zone_hi.append(nan_row)
-        else:
-            dims.append(node.dim)
-            keys.append(node.key)
-            splits.append(node.split)
+    for node in tree.preorder():
+        piece = arena.pieces[node]
+        if piece is None:
+            dims.append(arena.dims[node])
+            keys.append(arena.keys[node])
+            splits.append(arena.splits[node])
             zone_lo.append(nan_row)
             zone_hi.append(nan_row)
-            visit(node.left)
-            visit(node.right)
-
-    visit(tree.root)
+            continue
+        dims.append(LEAF)
+        keys.append(0.0)
+        splits.append(int(piece.converged))
+        if piece.zone_lo is not None and piece.zone_hi is not None:
+            zone_lo.append(tuple(piece.zone_lo))
+            zone_hi.append(tuple(piece.zone_hi))
+        else:
+            zone_lo.append(nan_row)
+            zone_hi.append(nan_row)
     return (
         np.asarray(dims, dtype=np.int64),
         np.asarray(keys, dtype=np.float64),
@@ -86,20 +82,15 @@ def _decode_tree(
     zone_lo: Optional[np.ndarray] = None,
     zone_hi: Optional[np.ndarray] = None,
 ) -> KDTree:
-    # The object graph is assembled bottom-up here, bypassing split_leaf,
-    # so the incremental arena mirror cannot track it; rebuild it from the
-    # finished tree below instead.
-    tree = KDTree(n_rows, n_cols, use_arena=False)
-    cursor = [0]
-
-    def build(start: int, end: int, level: int):
-        position = cursor[0]
-        cursor[0] += 1
-        if position >= dims.shape[0]:
-            raise IndexStateError("truncated tree encoding")
+    """Replay the preorder encoding as splits of a fresh tree."""
+    tree = KDTree(n_rows, n_cols)
+    # Leaves still waiting for their encoding entry, next one on top.
+    pending = list(tree.iter_leaves())
+    for position in range(dims.shape[0]):
+        if not pending:
+            raise IndexStateError("trailing data in tree encoding")
+        piece = pending.pop()
         if dims[position] == LEAF:
-            piece = Piece(start, end, level=level)
-            tree.leaf_count += 1
             piece.converged = bool(splits[position])
             if zone_lo is not None and zone_hi is not None:
                 lo_row = zone_lo[position]
@@ -107,27 +98,17 @@ def _decode_tree(
                 if not (np.isnan(lo_row).any() or np.isnan(hi_row).any()):
                     piece.zone_lo = tuple(float(b) for b in lo_row)
                     piece.zone_hi = tuple(float(b) for b in hi_row)
-            return piece
-        split = int(splits[position])
-        if not (start < split < end):
-            raise IndexStateError(
-                f"corrupt tree encoding: split {split} outside ({start},{end})"
-            )
-        left = build(start, split, level + 1)
-        right = build(split, end, level + 1)
-        node = KDNode(
-            int(dims[position]), float(keys[position]), start, split, end,
-            left, right,
+                    tree.arena.sync_zone(piece)
+            continue
+        # split_leaf rejects a split outside the piece: a corrupt encoding.
+        left, right = tree.split_leaf(
+            piece, int(dims[position]), float(keys[position]),
+            int(splits[position]),
         )
-        tree.node_count += 1
-        return node
-
-    tree.leaf_count = 0
-    tree.root = build(0, n_rows, 0)
-    if cursor[0] != dims.shape[0]:
-        raise IndexStateError("trailing data in tree encoding")
-    if arena_default():
-        tree.attach_arena()
+        pending.append(right)
+        pending.append(left)
+    if pending:
+        raise IndexStateError("truncated tree encoding")
     return tree
 
 

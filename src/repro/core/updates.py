@@ -22,6 +22,7 @@ tests check after every operation.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
@@ -31,7 +32,6 @@ from .adaptive_kdtree import AdaptiveKDTree
 from .frontier import left_to_right
 from .kdtree import KDTree
 from .metrics import PhaseTimer, QueryStats
-from .node import KDNode
 from .partition import stable_partition
 from .query import RangeQuery
 from .scan import range_scan
@@ -128,13 +128,16 @@ class AppendableAdaptiveKDTree(AdaptiveKDTree):
         pivots: List[Tuple[int, float]] = []
         if self._tree is None:
             return pivots
-        queue: List = [self._tree.root]
+        arena = self._tree.arena
+        queue = deque([0])
         while queue:
-            node = queue.pop(0)
-            if isinstance(node, KDNode):
-                pivots.append((node.dim, node.key))
-                queue.append(node.left)
-                queue.append(node.right)
+            node = queue.popleft()
+            dim = arena.dims[node]
+            if dim >= 0:
+                pivots.append((dim, arena.keys[node]))
+                child = arena.lefts[node]
+                queue.append(child)
+                queue.append(child + 1)
         return pivots
 
     def merge_pending(self, stats: Optional[QueryStats] = None) -> None:

@@ -26,12 +26,10 @@ lowered so the tiny tables actually split), checking that answers,
 invariants — including the I9 ownership protocol — and converged
 structures survive multi-threaded execution.  ``--procs N`` does the
 same over the process pool: index tables land in shared memory and
-scans/refinement fan out across worker processes.  ``--arena`` forces
-the flat-arena mirror on (regardless of ``REPRO_ARENA``) — so every
-answer flows through the arena descent and every invariant sweep runs
-the I11 mirror check — and additionally re-drives each clean workload
-through :meth:`~repro.core.index_base.BaseIndex.query_batch`, checking
-the batched answers against the same oracle.
+scans/refinement fan out across worker processes.  Every workload is
+driven twice per backend: once query by query, once through
+:meth:`~repro.core.index_base.BaseIndex.query_batch` on a fresh index,
+checking the batched answers against the same oracle.
 
 Every run is reproducible from its seed.  On failure the fuzzer shrinks
 the workload with a delta-debugging pass, saves a JSON repro file, and
@@ -127,7 +125,7 @@ class FuzzCase:
     size_threshold: int = 64
     delta: float = 0.25
     #: Drive the workload through ``query_batch`` instead of per-query
-    #: ``query`` calls (the ``--arena`` sweep's second pass).
+    #: ``query`` calls (the sweep's second pass).
     batch: bool = False
 
     def rng(self) -> np.random.Generator:
@@ -448,13 +446,12 @@ def run_fuzz(
     delta: float = 0.25,
     save_dir: Optional[str] = None,
     verbose: bool = False,
-    batch: bool = False,
     log: Callable[[str], None] = print,
 ) -> FuzzReport:
     """The full differential sweep: every kind x every backend.
 
-    ``batch=True`` adds a second pass per (kind, backend) cell that
-    replays the same workload through ``query_batch`` on a fresh index.
+    Each (kind, backend) cell runs twice: query by query, then the same
+    workload through ``query_batch`` on a fresh index.
     """
     backend_names = list(BACKENDS) if backends is None else list(backends)
     kind_names = WORKLOAD_KINDS if kinds is None else list(kinds)
@@ -477,9 +474,7 @@ def run_fuzz(
             delta=delta,
         )
         table, workload = build_workload(case)
-        variants = [case]
-        if batch:
-            variants.append(replace(case, batch=True))
+        variants = [case, replace(case, batch=True)]
         for backend in backend_names:
             for variant in variants:
                 tag = f"{kind}+batch" if variant.batch else kind
@@ -711,13 +706,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "tiny fuzz tables reach the process tier)",
     )
     parser.add_argument(
-        "--arena",
-        action="store_true",
-        help="force the flat-arena mirror on for the whole run (overrides "
-        "REPRO_ARENA) and replay every workload through query_batch as a "
-        "second pass per (kind, backend) cell",
-    )
-    parser.add_argument(
         "--sessions",
         type=int,
         default=None,
@@ -734,11 +722,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-
-    if args.arena:
-        from .core.arena import set_arena_default
-
-        set_arena_default(True)
 
     if args.kernels is not None:
         activated = kernels.use(args.kernels)
@@ -806,7 +789,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         delta=args.delta,
         save_dir=args.save_dir,
         verbose=args.verbose,
-        batch=args.arena,
     )
     status = "OK" if report.ok else f"{len(report.failures)} FAILURE(S)"
     print(

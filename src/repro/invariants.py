@@ -14,7 +14,11 @@ I1  **Leaf partition** — KD-Tree leaf ranges tile ``[0, N)`` exactly, in
     order, and every internal node's split matches its children's ranges.
 I2  **Path bounds** — every row of every leaf satisfies all ancestor
     pivot bounds (exclusive low / inclusive high, matching the paper's
-    ``low < x <= high`` semantics).
+    ``low < x <= high`` semantics), and the tree's arena
+    (:mod:`repro.core.arena`) is self-consistent: adjacent children, no
+    orphan slots, leaf pieces back-linked via ``arena_id``, and every
+    stored path box equal to the one recomputed from the root — the
+    residual-check flags of every descent derive from those boxes.
 I3  **Rowid alignment** — across the DSM arrays, position ``i`` of the
     index table holds exactly row ``rowids[i]`` of the base table, for
     every dimension column; rowids are unique (and a full permutation of
@@ -55,18 +59,14 @@ I10 **Shard partition** — a :class:`~repro.core.table_partitioning.
     shard order, each shard's column views alias exactly its base-table
     row range, every shard's zone box contains all of its rows, and
     every inner index passes the full I1–I9 sweep over its own shard.
-I11 **Arena mirror** — when a KD-Tree carries a flat arena
-    (:mod:`repro.core.arena`), the arena agrees with the object graph
-    node for node: structure (dim/key/split/range, child adjacency),
-    leaf identity (the live piece object, back-linked via
-    ``arena_id``), zone-map columns, and the stored path bounds the
-    residual-check flags derive from; no orphan slots.
+I11 *Retired* (it compared the arena with an object-graph twin that no
+    longer exists; its self-consistency half moved into I2).
 I12 **Open-piece frontier** — when a KD-Tree carries a frontier
     (:mod:`repro.core.frontier`), it agrees with a real walk: its
-    members are exactly the unconverged above-threshold leaves, every
-    stored box equals the leaf's path bounds, the heap top is a largest
-    open piece, and a current reach memo reports the node count, the
-    reached open pieces and the largest pick of a fresh descent.
+    members are exactly the unconverged above-threshold leaves, the
+    heap top is a largest open piece, and a current reach memo reports
+    the node count, the reached open pieces and the largest pick of a
+    fresh descent.
 
 Backends whose structure is not a KD-Tree participate through
 :meth:`BaseIndex.self_check` (QUASII hierarchy, cracker columns).
@@ -541,9 +541,9 @@ def structural_errors(index: BaseIndex) -> List[str]:
 
     The per-query workhorse: tree invariants (I1/I2) when a KD-Tree is
     materialised, alignment (I3), paused partitions (I4), convergence
-    flags (I5), zone maps (I7/I8), refinement ownership (I9), the arena
-    mirror (I11) and the open-piece frontier (I12) when the tree carries
-    them, the PKD creation-phase contract, and the backend's own
+    flags (I5), zone maps (I7/I8), refinement ownership (I9), the
+    open-piece frontier (I12) when the tree carries one, the PKD
+    creation-phase contract, and the backend's own
     :meth:`~repro.core.index_base.BaseIndex.self_check`.  Cross-query
     monotonicity and determinism need state or convergence and live in
     :class:`InvariantMonitor` / :func:`convergence_determinism_errors`.
@@ -556,9 +556,6 @@ def structural_errors(index: BaseIndex) -> List[str]:
         problems.extend(partition_job_errors(state))
         problems.extend(convergence_errors(state))
         problems.extend(zone_map_errors(state))
-        arena = getattr(state.tree, "arena", None)
-        if arena is not None:  # I11
-            problems.extend(arena.consistency_errors(state.tree))
         frontier = getattr(state.tree, "frontier", None)
         if frontier is not None:  # I12
             problems.extend(frontier.consistency_errors())

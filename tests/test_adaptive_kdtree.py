@@ -15,6 +15,16 @@ from repro.workloads.patterns import sequential_queries, uniform_queries
 from tests.conftest import assert_correct, make_queries, make_uniform_table
 
 
+def internal_nodes(tree):
+    """``(dim, key, size)`` of every internal node, read off the arena."""
+    arena = tree.arena
+    return [
+        (dim, arena.keys[node], arena.his[node] - arena.los[node])
+        for node, dim in enumerate(arena.dims)
+        if dim >= 0
+    ]
+
+
 class TestCorrectness:
     def test_uniform(self, small_table, small_queries):
         index = AdaptiveKDTree(small_table, size_threshold=64)
@@ -67,13 +77,7 @@ class TestAdaptationBehaviour:
         index = AdaptiveKDTree(small_table, size_threshold=64)
         query = RangeQuery([100.0, 200.0, 300.0], [900.0, 800.0, 700.0])
         index.query(query)
-        keys = set()
-        stack = [index.tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf():
-                keys.add((node.dim, node.key))
-                stack.extend([node.left, node.right])
+        keys = {(dim, key) for dim, key, _ in internal_nodes(index.tree)}
         # All first-query pivots come from the query bounds.
         expected = {(d, v) for d, v in query.adaptation_pairs()}
         assert keys <= expected
@@ -98,12 +102,8 @@ class TestAdaptationBehaviour:
             index.query(query)
         # No split may produce pieces from a parent at or below threshold,
         # i.e. every internal node's range was above the threshold.
-        stack = [index.tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf():
-                assert node.size > 256
-                stack.extend([node.left, node.right])
+        for _, __, size in internal_nodes(index.tree):
+            assert size > 256
 
     def test_never_converges_flag_without_full_refinement(
         self, small_table, small_queries
@@ -165,12 +165,8 @@ class TestInteractivityThreshold:
         stats = index.query(query).stats
         # Only the query's own pivots (if any) — no mean-pivot pre-build.
         keys_from_query = {v for _, v in query.adaptation_pairs()}
-        stack = [index.tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf():
-                assert node.key in keys_from_query
-                stack.extend([node.left, node.right])
+        for _, key, __ in internal_nodes(index.tree):
+            assert key in keys_from_query
 
     def test_correct_with_preprocessing(self):
         table = make_uniform_table(5_000, 2, seed=34)
@@ -212,11 +208,5 @@ class TestHighDimensional:
         index = AdaptiveKDTree(table, size_threshold=16)
         query = make_queries(table, 1, width_fraction=0.5, seed=10)[0]
         index.query(query)
-        dims_split = set()
-        stack = [index.tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf():
-                dims_split.add(node.dim)
-                stack.extend([node.left, node.right])
+        dims_split = {dim for dim, _, __ in internal_nodes(index.tree)}
         assert dims_split == set(range(5))

@@ -1,37 +1,36 @@
-"""The flat-arena mirror and vectorized batch execution.
+"""The KD-tree arena and vectorized batch execution.
 
-Three contracts, in increasing scope:
+Two contracts:
 
-* **Arena structure** — the SoA mirror tracks the object graph split for
-  split (I11), keeps the ``right == left + 1`` adjacency, and its scalar
-  and batched descents agree with each other node for node.
-* **Bit-identity** — with the arena on, every backend answers every
-  query with the same rows, the same :class:`QueryStats` counters, and
-  the same converged tree signature as the pure object-graph path,
-  mid-refinement and post-convergence, under serial, thread-parallel,
-  and process-parallel execution.
+* **Arena structure** — split for split the arena passes the structural
+  check (I2), keeps the ``right == left + 1`` adjacency, and its scalar
+  and batched descents agree with each other node for node; a corrupted
+  path box is caught by the fuzzer.
 * **Batch execution** — ``query_batch`` answers exactly like the
-  equivalent sequential loop (any backend, any phase), and the session
+  equivalent sequential loop (any backend, any phase), also after a
+  zone map was tightened behind a cached snapshot, and the session
   layer's ``run_batch`` preserves per-query order across column groups.
 """
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 import pytest
 
 from repro.baselines import MedianKDTree
-from repro.core import GreedyProgressiveKDTree, RangeQuery
-from repro.core.arena import Arena, arena_default, set_arena_default
+from repro.core import GreedyProgressiveKDTree, ProgressiveKDTree, RangeQuery
+from repro.core.arena import Arena
 from repro.core.kdtree import KDTree
 from repro.core.metrics import QueryStats
 from repro.errors import IndexStateError
-from repro.fuzz import BACKENDS, FuzzCase, build_workload, make_backend
+from repro.fuzz import (
+    BACKENDS,
+    FuzzCase,
+    build_workload,
+    make_backend,
+    run_backend_case,
+)
 from repro.invariants import assert_invariants
-from repro.parallel import config as par_config
-from repro.parallel import procpool
 from tests.conftest import make_queries, make_uniform_table, reference_answer
 
 ALL_BACKENDS = sorted(BACKENDS)
@@ -41,27 +40,6 @@ COUNTER_FIELDS = (
     "scanned", "copied", "swapped", "lookup_nodes", "nodes_created",
     "result_count", "pruned", "contained", "delta_used", "converged",
 )
-
-
-@pytest.fixture(autouse=True)
-def arena_reset():
-    """Restore the process-global arena default and parallel knobs."""
-    default = arena_default()
-    workers = par_config.get_workers()
-    morsel, floor = par_config.MORSEL_ROWS, par_config.MIN_PARALLEL_ROWS
-    yield
-    set_arena_default(default)
-    par_config.set_workers(workers)
-    par_config.MORSEL_ROWS = morsel
-    par_config.MIN_PARALLEL_ROWS = floor
-
-
-@pytest.fixture(scope="module", autouse=True)
-def pool_lifecycle():
-    yield
-    procpool.set_process_workers(1)
-    procpool.shutdown_procs()
-    gc.collect()
 
 
 def _case(kind: str = "uniform", queries: int = 25, rows: int = 1_500):
@@ -75,36 +53,21 @@ def _counters(stats: QueryStats) -> dict:
     return {name: getattr(stats, name) for name in COUNTER_FIELDS}
 
 
-def _run_recorded(backend: str, table, queries, case):
-    """Drive one fresh index; returns (answers, counters, signature)."""
-    index = make_backend(backend, table, case)
-    answers, counters = [], []
-    for query in queries:
-        result = index.query(query)
-        answers.append(np.sort(result.row_ids))
-        counters.append(_counters(result.stats))
-    tree = getattr(index, "tree", None)
-    signature = tree.preorder_signature() if isinstance(tree, KDTree) else None
-    assert_invariants(index)
-    return answers, counters, signature
-
-
 # ------------------------------------------------------------ arena structure
 
 
 class TestArenaStructure:
     def _converged_tree(self, rows: int = 3_000):
-        set_arena_default(True)
         table = make_uniform_table(rows, 2, seed=21)
         index = MedianKDTree(table, size_threshold=64)
         index.query(RangeQuery([0.0, 0.0], [1.0, 1.0]))  # triggers build
         return table, index
 
     def test_incremental_mirror_is_consistent(self):
-        _, index = self._converged_tree()
+        table, index = self._converged_tree()
         tree = index.tree
-        assert tree.arena is not None
-        assert tree.arena.consistency_errors(tree) == []
+        assert tree.structural_errors(index.index_table.columns) == []
+        assert len(tree.arena) == tree.node_count + tree.leaf_count
 
     def test_right_child_is_always_left_plus_one(self):
         _, index = self._converged_tree()
@@ -114,21 +77,6 @@ class TestArenaStructure:
                 left = arena.lefts[slot]
                 assert arena.los[left + 1] == arena.splits[slot]
                 assert arena.his[left] == arena.splits[slot]
-
-    def test_from_tree_searches_like_incremental(self):
-        table, index = self._converged_tree()
-        tree = index.tree
-        rebuilt = Arena.from_tree(tree)
-        assert rebuilt.consistency_errors(tree) == []
-        for query in make_queries(table, 10, width_fraction=0.2, seed=22):
-            a_stats, b_stats = QueryStats(), QueryStats()
-            got_a = tree.arena.search(query, a_stats)
-            got_b = rebuilt.search(query, b_stats)
-            assert a_stats.lookup_nodes == b_stats.lookup_nodes
-            assert [m.piece for m in got_a] == [m.piece for m in got_b]
-            for ma, mb in zip(got_a, got_b):
-                assert np.array_equal(ma.check_low, mb.check_low)
-                assert np.array_equal(ma.check_high, mb.check_high)
 
     def test_search_batch_matches_scalar_search(self):
         table, index = self._converged_tree()
@@ -167,62 +115,26 @@ class TestArenaStructure:
         arena = index.tree.arena
         assert arena.as_arrays() is arena.as_arrays()
 
-    def test_arena_off_means_no_mirror(self):
-        set_arena_default(False)
-        table = make_uniform_table(1_000, 2, seed=24)
-        index = MedianKDTree(table, size_threshold=64)
-        index.query(RangeQuery([0.0, 0.0], [1.0, 1.0]))
-        assert index.tree.arena is None
+    def test_fuzzer_catches_a_corrupted_path_bound(self, monkeypatch):
+        """Loosen one child's stored low bound to -inf at every split:
+        answers stay right (the residual checks only grow), so the
+        structural check (I2) is the one that must see it."""
+        real = Arena.apply_split
 
+        def loosening(self, piece, dim, key, split, left, right):
+            real(self, piece, dim, key, split, left, right)
+            self.path_lo[right.arena_id] = (-np.inf,) * self.n_dims
 
-# -------------------------------------------------------------- bit-identity
-
-
-class TestArenaBitIdentity:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    @pytest.mark.parametrize("kind", ["uniform", "duplicate"])
-    def test_serial_identity(self, backend, kind):
-        case = _case(kind)
+        monkeypatch.setattr(Arena, "apply_split", loosening)
+        case = FuzzCase(
+            seed=11, kind="uniform", n_rows=1_500, n_dims=2, n_queries=10,
+            size_threshold=32, delta=0.25,
+        )
         table, queries = build_workload(case)
-        set_arena_default(False)
-        plain = _run_recorded(backend, table, queries, case)
-        set_arena_default(True)
-        mirrored = _run_recorded(backend, table, queries, case)
-        for got, want in zip(mirrored[0], plain[0]):
-            assert np.array_equal(got, want)
-        assert mirrored[1] == plain[1]
-        assert mirrored[2] == plain[2]
-
-    @pytest.mark.parametrize("backend", ["medkd", "akd", "pkd", "gpkd"])
-    def test_thread_parallel_identity(self, backend):
-        par_config.set_workers(4)
-        par_config.MORSEL_ROWS = 256
-        par_config.MIN_PARALLEL_ROWS = 256
-        case = _case()
-        table, queries = build_workload(case)
-        set_arena_default(False)
-        plain = _run_recorded(backend, table, queries, case)
-        set_arena_default(True)
-        mirrored = _run_recorded(backend, table, queries, case)
-        for got, want in zip(mirrored[0], plain[0]):
-            assert np.array_equal(got, want)
-        assert mirrored[1] == plain[1]
-        assert mirrored[2] == plain[2]
-
-    def test_process_parallel_identity(self):
-        procpool.set_process_workers(2)
-        par_config.MORSEL_ROWS = 256
-        par_config.MIN_PARALLEL_ROWS = 256
-        case = _case(queries=15)
-        table, queries = build_workload(case)
-        set_arena_default(False)
-        plain = _run_recorded("gpkd", table, queries, case)
-        set_arena_default(True)
-        mirrored = _run_recorded("gpkd", table, queries, case)
-        for got, want in zip(mirrored[0], plain[0]):
-            assert np.array_equal(got, want)
-        assert mirrored[1] == plain[1]
-        assert mirrored[2] == plain[2]
+        for backend in ("medkd", "akd", "pkd", "gpkd"):
+            position, problems = run_backend_case(backend, table, queries, case)
+            assert position is not None, f"{backend}: corruption went unnoticed"
+            assert any("path bounds diverge" in p for p in problems), problems
 
 
 # ----------------------------------------------------------- batch execution
@@ -233,7 +145,6 @@ class TestQueryBatch:
     def test_batch_matches_sequential(self, backend):
         case = _case(queries=30)
         table, queries = build_workload(case)
-        set_arena_default(True)
         sequential = make_backend(backend, table, case)
         expected = [np.sort(sequential.query(q).row_ids) for q in queries]
         batched = make_backend(backend, table, case)
@@ -253,7 +164,6 @@ class TestQueryBatch:
     def test_batch_counters_match_sequential_when_converged(self, backend):
         case = _case(queries=25)
         table, queries = build_workload(case)
-        set_arena_default(True)
         first = make_backend(backend, table, case)
         second = make_backend(backend, table, case)
         for query in queries:  # converge both the same way
@@ -262,6 +172,26 @@ class TestQueryBatch:
         probes = make_queries(table, 12, width_fraction=0.2, seed=31)
         want = [_counters(first.query(q).stats) for q in probes]
         got = [_counters(r.stats) for r in second.query_batch(probes)]
+        assert got == want
+
+    def test_zone_tightened_after_a_snapshot_reaches_the_batch(self):
+        """Refinement tightens zones outside splits (the pivot pass);
+        the batch snapshot copies them, so a tightening must invalidate
+        it or the batch would prune and short-cut from stale boxes."""
+        table = make_uniform_table(3_000, 2, seed=35)
+        index = ProgressiveKDTree(table, delta=1.0, size_threshold=64)
+        for query in make_queries(table, 40, width_fraction=0.2, seed=36):
+            index.query(query)
+        assert index.converged
+        probes = make_queries(table, 12, width_fraction=0.2, seed=37)
+        index.query_batch(probes)  # caches the arena snapshot
+        leaves = list(index.tree.iter_leaves())
+        before = [(leaf.zone_lo, leaf.zone_hi) for leaf in leaves]
+        for leaf in leaves:
+            index._choose_split(leaf, QueryStats())
+        assert [(leaf.zone_lo, leaf.zone_hi) for leaf in leaves] != before
+        want = [_counters(index.query(q).stats) for q in probes]
+        got = [_counters(r.stats) for r in index.query_batch(probes)]
         assert got == want
 
     def test_batch_on_empty_list(self):
@@ -274,7 +204,6 @@ class TestQueryBatch:
         """A batch issued before convergence must still adapt per query."""
         case = _case(queries=40)
         table, queries = build_workload(case)
-        set_arena_default(True)
         index = make_backend("pkd", table, case)
         answers = index.query_batch(queries)
         for query, answer in zip(queries, answers):

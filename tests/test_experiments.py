@@ -23,6 +23,7 @@ from repro.bench.experiments import (
     table5_total_time,
     table6_dimensionality,
 )
+from repro.bench.measures import variance
 
 TINY = Scale(
     n_small=3_000,
@@ -94,14 +95,16 @@ class TestTables:
     def test_table4_progressive_most_robust(self, runs):
         headers, rows = table4_robustness(TINY)
         assert headers == ["Workload", "Q", "AKD", "PKD(0.2)", "GPKD(0.2)"]
-        wins = 0
+        # The table reports wall-clock variance, the paper's quantity; the
+        # ranking is asserted in work units, which timing noise at this
+        # scale cannot reorder: a progressive index (PKD or GPKD) has the
+        # lowest per-query variance on every workload.
         for row in rows:
-            values = row[1:]
-            # A progressive index (PKD or GPKD) has the lowest variance;
-            # at tiny scale wall-clock noise blurs which of the two wins.
-            if min(values[2:]) == min(values):
-                wins += 1
-        assert wins >= (3 * len(rows)) // 4
+            values = [
+                variance(runs[(row[0], algorithm)], use_work=True)
+                for algorithm in ("Q", "AKD", "PKD", "GPKD")
+            ]
+            assert min(values[2:]) == min(values), (row[0], values)
 
     def test_table5_totals_positive(self, runs):
         _, rows = table5_total_time(TINY)

@@ -25,7 +25,7 @@ from repro import (
     RangeQuery,
     Table,
 )
-from repro.core import arena as arena_mod
+from repro.core.arena import Arena
 from repro.core.cost_model import CostModel, MachineProfile
 from repro.core.frontier import Frontier
 from repro.core.metrics import QueryStats
@@ -47,13 +47,11 @@ COUNTER_FIELDS = (
 
 @pytest.fixture(autouse=True)
 def ambient_reset():
-    """Restore the worker count and the arena default after each test."""
+    """Restore the worker count after each test."""
     workers = par_config.get_workers()
-    arena = arena_mod.arena_default()
     par_config.reset_ownership_log()
     yield
     par_config.set_workers(workers)
-    arena_mod.set_arena_default(arena)
     par_config.reset_ownership_log()
 
 
@@ -304,7 +302,6 @@ def long_workload(table: Table):
 
 # ------------------------------------------- differential: PKD and GPKD
 
-@pytest.mark.parametrize("use_arena", [True, False], ids=["arena", "object"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("delta", [0.1, 0.2, 1.0])
 @pytest.mark.parametrize(
@@ -312,13 +309,9 @@ def long_workload(table: Table):
     [(WalkPKD, ProgressiveKDTree), (WalkGPKD, GreedyProgressiveKDTree)],
     ids=["pkd", "gpkd"],
 )
-def test_progressive_runs_match_walk_oracle(
-    oracle_cls, index_cls, delta, workers, use_arena
-):
+def test_progressive_runs_match_walk_oracle(oracle_cls, index_cls, delta, workers):
     """Serial pick (workers=1) and round-based ``_pick_pieces``
-    (workers=2), arena on and off; GPKD's reactive phase makes most
-    queries multi-step."""
-    arena_mod.set_arena_default(use_arena)
+    (workers=2); GPKD's reactive phase makes most queries multi-step."""
     par_config.set_workers(workers)
     table = uniform_table()
     index = index_cls(table, delta=delta, size_threshold=64)
@@ -388,10 +381,8 @@ def test_unsplittable_pieces_match_walk_oracle(make_table, workers):
 
 # --------------------------------------------------- differential: AKD
 
-@pytest.mark.parametrize("use_arena", [True, False], ids=["arena", "object"])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_adaptive_runs_match_walk_oracle(workload, use_arena):
-    arena_mod.set_arena_default(use_arena)
+def test_adaptive_runs_match_walk_oracle(workload):
     table = uniform_table()
     queries = WORKLOADS[workload](table)
     assert_same_run(
@@ -524,14 +515,10 @@ def unbounded_probe(n_dims: int) -> RangeQuery:
     return RangeQuery(np.full(n_dims, -np.inf), np.full(n_dims, np.inf))
 
 
-@pytest.mark.parametrize("use_arena", [True, False], ids=["arena", "object"])
-def test_scheduler_slices_interleaved_with_queries_match_walk_oracle(
-    use_arena,
-):
+def test_scheduler_slices_interleaved_with_queries_match_walk_oracle():
     """The serve scheduler and the background refiner reuse *one* probe
     object across slices while tenant queries refine the same tree in
     between: choices and counters must still equal the walk oracle's."""
-    arena_mod.set_arena_default(use_arena)
     table = uniform_table()
     queries = WORKLOADS["uniform"](table)
     runs = []
@@ -579,9 +566,8 @@ def test_unbounded_probe_never_searches_the_tree(monkeypatch):
         raise AssertionError("descent under the unbounded probe")
 
     monkeypatch.setattr(tree, "search", forbidden)
-    if tree.arena is not None:
-        monkeypatch.setattr(arena_mod.Arena, "search", forbidden)
-        monkeypatch.setattr(arena_mod.Arena, "probe", forbidden)
+    monkeypatch.setattr(Arena, "search", forbidden)
+    monkeypatch.setattr(Arena, "probe", forbidden)
     probe = unbounded_probe(table.n_columns)
     stats = QueryStats()
     slices = 0
@@ -630,7 +616,7 @@ def _refining_index():
 def test_lost_frontier_entry_is_caught():
     index = _refining_index()
     frontier = index.tree.frontier
-    del frontier._boxes[frontier.pieces()[1]]
+    del frontier._open[frontier.pieces()[1]]
     assert any(
         "missing from the frontier" in p for p in structural_errors(index)
     )
@@ -640,17 +626,20 @@ def test_converged_leaf_in_frontier_is_caught():
     index = _refining_index()
     frontier = index.tree.frontier
     leaf = next(l for l in index.tree.iter_leaves() if l.converged)
-    frontier._add(leaf, *frontier.box(frontier.pieces()[0]))
+    frontier._add(leaf)
     assert any("is not an open leaf" in p for p in structural_errors(index))
 
 
 def test_tampered_frontier_box_is_caught():
+    """A frontier box is the arena's stored path box: tampering with it
+    is caught by the recomputation from the root (I2)."""
     index = _refining_index()
     frontier = index.tree.frontier
     piece = frontier.pieces()[0]
     lo, hi = frontier.box(piece)
-    frontier._boxes[piece] = (lo, (hi[0] - 1.0,) + hi[1:])
-    assert any("diverges from its path" in p for p in structural_errors(index))
+    index.tree.arena.path_hi[piece.arena_id] = (hi[0] - 1.0,) + hi[1:]
+    assert frontier.box(piece)[1][0] == hi[0] - 1.0
+    assert any("diverge from its path" in p for p in structural_errors(index))
 
 
 def test_stale_heap_top_is_caught():
@@ -678,10 +667,10 @@ def test_fuzzer_catches_a_frontier_that_forgets_a_child(monkeypatch):
     real = Frontier.on_split
 
     def forgetful(self, piece, dim, key, left, right):
-        boxes_before = len(self._boxes)
+        open_before = len(self._open)
         real(self, piece, dim, key, left, right)
-        if right in self._boxes and boxes_before > 2:
-            del self._boxes[right]
+        if right in self._open and open_before > 2:
+            del self._open[right]
             if self._reach is not None:
                 self._reach.pieces.pop(right, None)
 

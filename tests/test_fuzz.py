@@ -42,8 +42,8 @@ def small_run(**overrides):
 def test_clean_run_reports_ok():
     report = small_run(backends=["fs", "akd", "pkd"], kinds=["uniform"])
     assert report.ok
-    assert report.cases_run == 3
-    assert report.queries_run == 30
+    assert report.cases_run == 6  # query by query, then query_batch
+    assert report.queries_run == 60
 
 
 def test_workloads_are_reproducible():

@@ -174,7 +174,7 @@ def test_tampered_converged_tree_fails_determinism():
         index.query(query)
     assert index.converged
     assert convergence_determinism_errors(index) == []
-    index.tree.root.key += 0.5  # converged tree no longer matches eager build
+    index.tree.arena.keys[0] += 0.5  # converged tree no longer matches eager build
     assert convergence_determinism_errors(index) != []
 
 

@@ -10,6 +10,12 @@ from repro.core.partition import stable_partition
 from repro.errors import IndexStateError
 
 
+def root_of(tree):
+    """The single leaf of an unsplit tree."""
+    (root,) = tree.iter_leaves()
+    return root
+
+
 def build_two_level_tree():
     """The paper's running example data, adapted: split on (A, 6), then the
     right side on (B, 5)."""
@@ -19,7 +25,7 @@ def build_two_level_tree():
     arrays = [a, b, rowids]
     tree = KDTree(14, 2)
     split = stable_partition(arrays, 0, 14, 0, 6.0)
-    left, right = tree.split_leaf(tree.root, 0, 6.0, split)
+    left, right = tree.split_leaf(root_of(tree), 0, 6.0, split)
     split_b = stable_partition(arrays, right.start, right.end, 1, 5.0)
     tree.split_leaf(right, 1, 5.0, split_b)
     return tree, arrays
@@ -46,25 +52,27 @@ class TestStructure:
     def test_split_rejects_degenerate(self):
         tree = KDTree(10, 1)
         with pytest.raises(IndexStateError):
-            tree.split_leaf(tree.root, 0, 5.0, 0)
+            tree.split_leaf(root_of(tree), 0, 5.0, 0)
         with pytest.raises(IndexStateError):
-            tree.split_leaf(tree.root, 0, 5.0, 10)
+            tree.split_leaf(root_of(tree), 0, 5.0, 10)
 
     def test_children_levels_increment(self):
         tree = KDTree(10, 2)
-        left, right = tree.split_leaf(tree.root, 0, 5.0, 4)
+        left, right = tree.split_leaf(root_of(tree), 0, 5.0, 4)
         assert left.level == 1 and right.level == 1
 
     def test_replace_detached_node_rejected(self):
         tree = KDTree(10, 1)
-        left, right = tree.split_leaf(tree.root, 0, 5.0, 4)
-        left.parent = None  # detach: claims to be a root it is not
+        root = root_of(tree)
+        tree.split_leaf(root, 0, 5.0, 4)
+        # The retired root is no leaf of the tree any more.
         with pytest.raises(IndexStateError):
-            tree._replace(left, right)
+            tree.split_leaf(root, 0, 2.0, 2)
+        assert (tree.node_count, tree.leaf_count, len(tree.arena)) == (1, 2, 3)
 
     def test_max_leaf_size(self):
         tree = KDTree(10, 1)
-        tree.split_leaf(tree.root, 0, 5.0, 3)
+        tree.split_leaf(root_of(tree), 0, 5.0, 3)
         assert tree.max_leaf_size() == 7
 
     def test_zero_size_tree(self):

@@ -395,7 +395,7 @@ class TestSessionAndHarness:
             )
         finally:
             obs_metrics.disable()
-        assert report.cases_run == 1
+        assert report.cases_run == 2  # query by query, then query_batch
         registry = obs.REGISTRY
         assert registry.counter("fuzz.cases", backend="akd", kind="uniform").value == 1
         assert registry.counter("fuzz.queries", backend="akd", kind="uniform").value == 4
