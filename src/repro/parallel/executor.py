@@ -1,7 +1,7 @@
-"""Morsel-driven fan-out of scans and refinement over the shared pool.
+"""Morsel-driven fan-out of scans and refinement over threads or processes.
 
-Three entry points, mirroring the three kinds of physical work the
-indexes perform:
+Four entry points, mirroring the kinds of physical work the indexes
+perform:
 
 :func:`scan_range`
     One contiguous row range (a full scan, or a creation-phase region
@@ -14,10 +14,18 @@ indexes perform:
     dominate, the tree has refined the data into many below-threshold
     pieces and whole-piece chunking already yields far more work units
     than workers.
+:func:`scan_match_sets`
+    The same chunking over a whole batch of queries' candidate lists, so
+    a batch pays one fan-out rather than one per query.
 :func:`advance_jobs`
     Disjoint, already-scheduled :class:`~repro.core.partition.
     IncrementalPartition` jobs advanced concurrently, each under an
     exclusive piece-ownership claim (invariant I9).
+
+Each entry point owns its gate — which rows count, which floor they
+must clear, when the process tier is tried — and past it only says how
+its work becomes tasks, what one task runs and how results merge.
+Everything else happens once, in :func:`_fan_out`, for both tiers.
 
 Determinism
 -----------
@@ -38,14 +46,22 @@ Every fan-out is bit-identical to the serial path it replaces:
 * *timing-free* — no merged field derives from wall clock; worker
   ``seconds`` stay zero and the caller's own timer covers the fan-out.
 
-Workers pin a thread-private instance of the caller's kernel backend
+Workers pin a private instance of the caller's kernel backend
 (snapshotted once per fan-out — the per-query pin of
 :meth:`BaseIndex.query` makes that snapshot stable), because the fused
 backend's scratch buffers must not be shared across threads.
+
+Failure
+-------
+A task that raises does not cut the fan-out short: every submitted task
+is waited for, every piece claim released and every process task
+settled in the pool's ledger before the first failure, in submission
+order, propagates to the caller.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import wait
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,14 +74,35 @@ from . import config, procpool, shm
 
 __all__ = ["scan_range", "scan_pieces", "scan_match_sets", "advance_jobs"]
 
+_THREADS = "threads"
+_PROCS = "procs"
 
-def _procs_eligible() -> int:
-    """Process-worker count when the process tier may dispatch from this
-    context (never from inside any worker, of either tier)."""
+
+def _tiers() -> Tuple[int, int]:
+    """``(thread workers, process workers)`` a fan-out from here may use.
+
+    Process workers read 0 while the process tier is off or this is one
+    of its workers; on a thread-pool worker both tiers are off, because
+    fan-outs never nest.
+    """
+    if config.in_worker():
+        return 1, 0
     procs = procpool.get_process_workers()
-    if procs <= 1 or procpool.in_proc_worker() or config.in_worker():
-        return 0
-    return procs
+    if procs <= 1 or procpool.in_proc_worker():
+        procs = 0
+    return config.get_workers(), procs
+
+
+def batch_scan_serial() -> bool:
+    """True when :func:`scan_match_sets` would take its serial fused path
+    regardless of the job list — no workers, no process tier, or already
+    inside a pool worker.  Lets converged batch callers skip the
+    object-graph job assembly and run the array-native shortcut instead;
+    when this is False the caller builds real matches and the fan-out
+    logic decides per batch.
+    """
+    workers, procs = _tiers()
+    return workers <= 1 and not procs
 
 
 def _morsel_ranges(start: int, end: int, morsel_rows: int) -> List[Tuple[int, int]]:
@@ -108,6 +145,84 @@ def _concat(parts: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(filled)
 
 
+# ------------------------------------------------------ the fan-out itself
+
+def _fan_out(op, tier, workers, body, tasks, spans=None, claims=None) -> list:
+    """Run ``body`` once per argument tuple in ``tasks`` on ``tier``'s
+    pool of ``workers``; returns the results in submission order.
+
+    * threads — ``body(*args)`` runs on a pool thread marked as a worker
+      and pinned to a thread-private instance of the caller's kernel
+      backend, inside a ``morsel`` span with ``spans[i]`` as attributes
+      when tracing is live;
+    * procs — ``body`` is a :mod:`.procpool` task, called as
+      ``body(backend_name, *args, telemetry)``; the telemetry payload it
+      appends is absorbed under the caller's span and stripped.
+
+    ``op`` labels the metrics (``proc_``-prefixed on the process tier).
+    ``claims`` lists one piece per task, held (invariant I9) from before
+    the task is submitted until every task has settled.  See the module
+    docstring for the failure rule.
+    """
+    on_procs = tier == _PROCS
+    label = "proc_" + op if on_procs else op
+    backend_name = kernels.current_backend().name
+    parent = _parent_span_id()
+    if on_procs:
+        telemetry = procbridge.request()
+        pool = procpool.proc_pool()
+    else:
+        pool = config.pool()
+    _note_fanout(label, len(tasks), workers)
+    held = []
+    futures = []
+    try:
+        for position, args in enumerate(tasks):
+            if claims is not None:
+                owner = f"{op}-{'proc' if on_procs else 'worker'}-{position}"
+                config.claim_piece(claims[position], owner)
+                held.append((claims[position], owner))
+            if on_procs:
+                futures.append(pool.submit(body, backend_name, *args, telemetry))
+                procpool.note_submitted()
+            else:
+                span = spans[position] if spans is not None else None
+                futures.append(
+                    pool.submit(
+                        _thread_task, backend_name, parent, op, span, body, args
+                    )
+                )
+    finally:
+        for future in futures:
+            wait((future,))
+            if on_procs:
+                procpool.note_done()
+        for piece, owner in held:
+            config.release_piece(piece, owner)
+        if on_procs and obs_metrics.ENABLED:
+            procpool.publish_health()
+    results = []
+    for future in futures:
+        result = future.result()
+        if on_procs and telemetry is not None:
+            procbridge.absorb(result[-1], parent, op=label)
+            result = result[:-1]
+        results.append(result)
+    return results
+
+
+def _thread_task(backend_name, parent, op, span, body, args):
+    config.enter_worker()
+    try:
+        with kernels.pinned(kernels.thread_instance(backend_name)):
+            if span is not None and obs_trace.ENABLED:
+                with obs_trace.TRACER.span("morsel", parent=parent, op=op, **span):
+                    return body(*args)
+            return body(*args)
+    finally:
+        config.exit_worker()
+
+
 # ------------------------------------------------------------- range scans
 
 def scan_range(
@@ -124,141 +239,47 @@ def scan_range(
     Falls through to one serial kernel call unless parallelism is on,
     the window is worth splitting, and we are not already on a worker.
     """
+    workers, procs = _tiers()
     window = end - start
-    workers = config.get_workers()
-    procs = _procs_eligible()
-    if procs and window > config.MORSEL_ROWS and window >= config.MIN_PARALLEL_ROWS:
-        handles = shm.handles_of(columns)
-        if handles is not None:
-            return _scan_range_procs(
-                handles, start, end, query, stats, check_low, check_high,
-                procs,
-            )
-    if (
-        workers <= 1
-        or window <= config.MORSEL_ROWS
-        or window < config.MIN_PARALLEL_ROWS
-        or config.in_worker()
-    ):
+    if window <= config.MORSEL_ROWS or window < config.MIN_PARALLEL_ROWS:
+        workers = procs = 0
+    handles = shm.handles_of(columns) if procs else None
+    if handles is None and workers <= 1:
         return kernels.range_scan(
             columns, start, end, query, stats, check_low, check_high
         )
     ranges = _morsel_ranges(start, end, config.MORSEL_ROWS)
-    backend_name = kernels.current_backend().name
-    parent = _parent_span_id()
-    _note_fanout("scan", len(ranges), workers)
-    futures = [
-        config.pool().submit(
-            _scan_range_task,
-            backend_name,
-            parent,
-            columns,
-            morsel_start,
-            morsel_end,
-            query,
-            check_low,
-            check_high,
-            type(stats),
+    if handles is not None:
+        results = _fan_out(
+            "scan", _PROCS, procs, procpool.scan_range_task,
+            [(handles, lo, hi, query, check_low, check_high) for lo, hi in ranges],
         )
-        for morsel_start, morsel_end in ranges
-    ]
-    parts: List[np.ndarray] = []
-    for future in futures:
-        positions, worker_stats = future.result()
+    else:
+        privates = [type(stats)() for _ in ranges]
+        spans = None
+        if obs_trace.ENABLED:
+            spans = [
+                {"stats": private, "start": lo, "rows": hi - lo}
+                for (lo, hi), private in zip(ranges, privates)
+            ]
+        results = _fan_out(
+            "scan", _THREADS, workers, _scan_morsel,
+            [
+                (columns, lo, hi, query, check_low, check_high, private)
+                for (lo, hi), private in zip(ranges, privates)
+            ],
+            spans,
+        )
+    for _positions, worker_stats in results:
         stats.merge(worker_stats)
-        parts.append(positions)
-    return _concat(parts)
+    return _concat([positions for positions, _stats in results])
 
 
-def _scan_range_task(
-    backend_name: str,
-    parent: Optional[int],
-    columns,
-    start: int,
-    end: int,
-    query,
-    check_low,
-    check_high,
-    stats_cls,
-):
-    config.enter_worker()
-    try:
-        worker_stats = stats_cls()
-        backend = kernels.thread_instance(backend_name)
-        with kernels.pinned(backend):
-            if obs_trace.ENABLED:
-                with obs_trace.TRACER.span(
-                    "morsel",
-                    stats=worker_stats,
-                    parent=parent,
-                    op="scan",
-                    start=start,
-                    rows=end - start,
-                ):
-                    positions = kernels.range_scan(
-                        columns, start, end, query, worker_stats,
-                        check_low, check_high,
-                    )
-            else:
-                positions = kernels.range_scan(
-                    columns, start, end, query, worker_stats,
-                    check_low, check_high,
-                )
-        return positions, worker_stats
-    finally:
-        config.exit_worker()
-
-
-def _scan_range_procs(
-    handles, start, end, query, stats, check_low, check_high, procs
-):
-    """Morsel fan-out of one row range over the process pool.
-
-    Same morsel geometry and submission-order merge as the thread path;
-    only the transport differs (shm handles out, positions + private
-    stats back), so the result is bit-identical to serial.
-    """
-    ranges = _morsel_ranges(start, end, config.MORSEL_ROWS)
-    backend_name = kernels.current_backend().name
-    parent = _parent_span_id()
-    telemetry = procbridge.request()
-    _note_fanout("proc_scan", len(ranges), procs)
-    pool = procpool.proc_pool()
-    procpool.note_submitted(len(ranges))
-    futures = [
-        pool.submit(
-            procpool.scan_range_task,
-            backend_name,
-            handles,
-            morsel_start,
-            morsel_end,
-            query,
-            check_low,
-            check_high,
-            telemetry,
-        )
-        for morsel_start, morsel_end in ranges
-    ]
-    parts: List[np.ndarray] = []
-    received = 0
-    try:
-        for future in futures:
-            result = future.result()
-            procpool.note_done()
-            received += 1
-            if telemetry is None:
-                positions, worker_stats = result
-            else:
-                positions, worker_stats, payload = result
-                procbridge.absorb(payload, parent, op="proc_scan")
-            stats.merge(worker_stats)
-            parts.append(positions)
-    finally:
-        if received != len(futures):  # failed fan-out: settle the ledger
-            procpool.note_done(len(futures) - received)
-        if obs_metrics.ENABLED:
-            procpool.publish_health()
-    return _concat(parts)
+def _scan_morsel(columns, start, end, query, check_low, check_high, stats):
+    positions = kernels.range_scan(
+        columns, start, end, query, stats, check_low, check_high
+    )
+    return positions, stats
 
 
 # ------------------------------------------------------------- piece scans
@@ -270,171 +291,15 @@ def scan_pieces(index_table, matches, query, stats) -> List[np.ndarray]:
     the serial ``[scan_piece(m) for m in matches]`` loop builds, with
     identical stats totals (zone-map prune/containment shortcuts run
     inside :meth:`~repro.core.index_base.IndexTable.scan_piece` on the
-    worker and merge back as additive counters).
+    worker and merge back as additive counters).  The fan-out is a
+    one-query :func:`scan_match_sets`; the serial path stays the plain
+    per-piece loop, which beats the fused batch pass on one query.
     """
-    workers = config.get_workers()
-    procs = _procs_eligible()
-    if (workers <= 1 and not procs) or len(matches) < 2 or config.in_worker():
+    parts = _scan_jobs("piece_scan", index_table, [(matches, query, stats)])
+    if parts is None:
         return [index_table.scan_piece(match, query, stats) for match in matches]
-    total_rows = 0
-    for match in matches:
-        total_rows += match.piece.size
-    if total_rows < config.MIN_PARALLEL_ROWS:
-        return [index_table.scan_piece(match, query, stats) for match in matches]
-    if procs:
-        column_handles = shm.handles_of(index_table.columns)
-        rowid_handle = shm.handle_of(index_table.rowids)
-        if column_handles is not None and rowid_handle is not None:
-            parts = _scan_pieces_procs(
-                column_handles, rowid_handle, matches, total_rows, query,
-                stats, procs,
-            )
-            if parts is not None:
-                return parts
-    if workers <= 1:
-        return [index_table.scan_piece(match, query, stats) for match in matches]
-    chunks = _chunk_matches(matches, total_rows, workers)
-    if len(chunks) < 2:
-        return [index_table.scan_piece(match, query, stats) for match in matches]
-    backend_name = kernels.current_backend().name
-    parent = _parent_span_id()
-    _note_fanout("piece_scan", len(chunks), workers)
-    futures = [
-        config.pool().submit(
-            _scan_pieces_task,
-            backend_name,
-            parent,
-            index_table,
-            chunk,
-            query,
-            type(stats),
-        )
-        for chunk in chunks
-    ]
-    parts: List[np.ndarray] = []
-    for future in futures:
-        chunk_parts, worker_stats = future.result()
-        stats.merge(worker_stats)
-        parts.extend(chunk_parts)
-    return parts
+    return parts[0]
 
-
-def _chunk_matches(matches, total_rows: int, workers: int) -> List[list]:
-    """Contiguous size-balanced chunks of whole matches.
-
-    Targets ~4 chunks per worker so one slow chunk (a zone-contained
-    run next to a dense one) cannot serialise the tail, while keeping
-    per-chunk row volume high enough to amortise dispatch.  Determinism
-    does not depend on the chunking — only merge order matters, and that
-    is fixed — so this is pure scheduling policy.
-    """
-    target = max(1, total_rows // (workers * 4))
-    chunks: List[list] = []
-    current: list = []
-    current_rows = 0
-    for match in matches:
-        current.append(match)
-        current_rows += match.piece.size
-        if current_rows >= target:
-            chunks.append(current)
-            current = []
-            current_rows = 0
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _scan_pieces_task(
-    backend_name: str,
-    parent: Optional[int],
-    index_table,
-    chunk,
-    query,
-    stats_cls,
-):
-    config.enter_worker()
-    try:
-        worker_stats = stats_cls()
-        backend = kernels.thread_instance(backend_name)
-        with kernels.pinned(backend):
-            if obs_trace.ENABLED:
-                rows = sum(match.piece.size for match in chunk)
-                with obs_trace.TRACER.span(
-                    "morsel",
-                    stats=worker_stats,
-                    parent=parent,
-                    op="piece_scan",
-                    pieces=len(chunk),
-                    rows=rows,
-                ):
-                    parts = [
-                        index_table.scan_piece(match, query, worker_stats)
-                        for match in chunk
-                    ]
-            else:
-                parts = [
-                    index_table.scan_piece(match, query, worker_stats)
-                    for match in chunk
-                ]
-        return parts, worker_stats
-    finally:
-        config.exit_worker()
-
-
-def _scan_pieces_procs(
-    column_handles, rowid_handle, matches, total_rows, query, stats, procs
-):
-    """Whole-piece chunk fan-out over the process pool.
-
-    Pieces travel as flat specs (bounds + zone box + residual-check
-    flags) and are rebuilt as shims around the attached shm arrays in
-    the worker; parts and stats merge in match order, exactly like the
-    thread path.
-    """
-    chunks = _chunk_matches(matches, total_rows, procs)
-    if len(chunks) < 2:
-        return None  # not worth a process hop; caller falls through
-    backend_name = kernels.current_backend().name
-    parent = _parent_span_id()
-    telemetry = procbridge.request()
-    _note_fanout("proc_piece_scan", len(chunks), procs)
-    pool = procpool.proc_pool()
-    procpool.note_submitted(len(chunks))
-    futures = [
-        pool.submit(
-            procpool.scan_pieces_task,
-            backend_name,
-            column_handles,
-            rowid_handle,
-            [procpool.piece_spec(match) for match in chunk],
-            query,
-            telemetry,
-        )
-        for chunk in chunks
-    ]
-    parts: List[np.ndarray] = []
-    received = 0
-    try:
-        for future in futures:
-            result = future.result()
-            procpool.note_done()
-            received += 1
-            if telemetry is None:
-                chunk_parts, worker_stats = result
-            else:
-                chunk_parts, worker_stats, payload = result
-                procbridge.absorb(payload, parent, op="proc_piece_scan")
-            stats.merge(worker_stats)
-            parts.extend(chunk_parts)
-    finally:
-        if received != len(futures):  # failed fan-out: settle the ledger
-            procpool.note_done(len(futures) - received)
-        if obs_metrics.ENABLED:
-            procpool.publish_health()
-    return parts
-
-
-# ---------------------------------------------------- batched piece scans
 
 def scan_match_sets(index_table, jobs) -> List[List[np.ndarray]]:
     """Scan many queries' candidate-piece lists in one shared fan-out.
@@ -448,54 +313,82 @@ def scan_match_sets(index_table, jobs) -> List[List[np.ndarray]]:
     charges.  The whole batch shares a single chunking/dispatch round —
     the point of batching: B queries pay one fan-out, not B.
     """
-    workers = config.get_workers()
-    procs = _procs_eligible()
-    tagged: List[Tuple[int, object]] = []
-    total_rows = 0
-    for job_index, (matches, _query, _stats) in enumerate(jobs):
-        for match in matches:
-            tagged.append((job_index, match))
-            total_rows += match.piece.size
-    if (
-        (workers <= 1 and not procs)
-        or len(tagged) < 2
-        or total_rows < config.MIN_PARALLEL_ROWS
-        or config.in_worker()
-    ):
+    parts = _scan_jobs("batch_scan", index_table, jobs)
+    if parts is None:
         return _scan_match_sets_fused(index_table, jobs)
-    queries = [query for _matches, query, _stats in jobs]
-    if procs:
-        column_handles = shm.handles_of(index_table.columns)
-        rowid_handle = shm.handle_of(index_table.rowids)
-        if column_handles is not None and rowid_handle is not None:
-            parts = _scan_match_sets_procs(
-                column_handles, rowid_handle, tagged, total_rows, jobs,
-                queries, procs,
-            )
-            if parts is not None:
-                return parts
-    if workers <= 1:
-        return _scan_match_sets_fused(index_table, jobs)
-    chunks = _chunk_tagged(tagged, total_rows, workers)
-    if len(chunks) < 2:
-        return _scan_match_sets_fused(index_table, jobs)
-    backend_name = kernels.current_backend().name
-    stats_cls = type(jobs[0][2])
-    _note_fanout("batch_scan", len(chunks), workers)
-    futures = [
-        config.pool().submit(
-            _scan_match_sets_task,
-            backend_name,
-            index_table,
-            chunk,
-            queries,
-            stats_cls,
-        )
-        for chunk in chunks
+    return parts
+
+
+def _scan_jobs(op, index_table, jobs) -> Optional[List[List[np.ndarray]]]:
+    """Chunked fan-out of every job's matches, or ``None`` when the gate
+    keeps the scan serial: fewer than two matches, fewer than
+    :data:`~.config.MIN_PARALLEL_ROWS` rows in all, or fewer than two
+    chunks on every tier that is on.  The process tier is tried first and
+    needs the index table shm-backed.
+    """
+    workers, procs = _tiers()
+    if workers <= 1 and not procs:
+        return None
+    tagged = [
+        (job_index, match)
+        for job_index, (matches, _query, _stats) in enumerate(jobs)
+        for match in matches
     ]
+    if len(tagged) < 2:
+        return None
+    total_rows = sum(match.piece.size for _job_index, match in tagged)
+    if total_rows < config.MIN_PARALLEL_ROWS:
+        return None
+    queries = [query for _matches, query, _stats in jobs]
+    handles = shm.handles_of(index_table.all_arrays) if procs else None
+    chunks = _chunk_tagged(tagged, total_rows, procs) if handles is not None else []
+    if len(chunks) >= 2:
+        results = _fan_out(
+            op, _PROCS, procs, procpool.scan_match_sets_task,
+            [
+                (
+                    handles,
+                    [
+                        (job_index, procpool.piece_spec(match))
+                        for job_index, match in chunk
+                    ],
+                    queries,
+                    op,
+                )
+                for chunk in chunks
+            ],
+        )
+    else:
+        if workers <= 1:
+            return None
+        chunks = _chunk_tagged(tagged, total_rows, workers)
+        if len(chunks) < 2:
+            return None
+        stats_cls = type(jobs[0][2])
+        privates = [
+            {job_index: stats_cls() for job_index, _match in chunk}
+            for chunk in chunks
+        ]
+        spans = None
+        if obs_trace.ENABLED and len(jobs) == 1:
+            spans = [
+                {
+                    "stats": private[0],
+                    "pieces": len(chunk),
+                    "rows": sum(match.piece.size for _job_index, match in chunk),
+                }
+                for chunk, private in zip(chunks, privates)
+            ]
+        results = _fan_out(
+            op, _THREADS, workers, _scan_chunk,
+            [
+                (index_table, chunk, queries, private)
+                for chunk, private in zip(chunks, privates)
+            ],
+            spans,
+        )
     parts_per_job: List[List[np.ndarray]] = [[] for _ in jobs]
-    for future in futures:
-        tagged_parts, per_job_stats = future.result()
+    for tagged_parts, per_job_stats in results:
         for job_index, part in tagged_parts:
             parts_per_job[job_index].append(part)
         for job_index, worker_stats in per_job_stats:
@@ -503,35 +396,52 @@ def scan_match_sets(index_table, jobs) -> List[List[np.ndarray]]:
     return parts_per_job
 
 
-def batch_scan_serial() -> bool:
-    """True when :func:`scan_match_sets` would take its serial fused path
-    regardless of the job list — no workers, no process tier, or already
-    inside a pool worker.  Lets converged batch callers skip the
-    object-graph job assembly and run the array-native shortcut instead;
-    when this is False the caller builds real matches and the fan-out
-    logic decides per batch.
+def _chunk_tagged(tagged, total_rows: int, workers: int) -> List[list]:
+    """Contiguous size-balanced chunks of tagged ``(job, match)`` items.
+
+    Targets ~4 chunks per worker so one slow chunk (a zone-contained
+    run next to a dense one) cannot serialise the tail, while keeping
+    per-chunk row volume high enough to amortise dispatch.  Chunks may
+    span job boundaries — the tags route every part and stat back to its
+    query.  Determinism does not depend on the chunking — only merge
+    order matters, and that is fixed — so this is pure scheduling policy.
     """
-    return (
-        config.get_workers() <= 1 and not _procs_eligible()
-    ) or config.in_worker()
+    target = max(1, total_rows // (workers * 4))
+    chunks: List[list] = []
+    current: list = []
+    current_rows = 0
+    for item in tagged:
+        current.append(item)
+        current_rows += item[1].piece.size
+        if current_rows >= target:
+            chunks.append(current)
+            current = []
+            current_rows = 0
+    if current:
+        chunks.append(current)
+    return chunks
 
 
-def _scan_match_sets_serial(index_table, jobs) -> List[List[np.ndarray]]:
-    return [
-        [index_table.scan_piece(match, query, stats) for match in matches]
-        for matches, query, stats in jobs
+def _scan_chunk(index_table, chunk, queries, per_job):
+    """Scan one chunk of ``(job, match)`` items into the chunk's private
+    per-job stats; returns tagged parts plus ``(job, stats)`` pairs."""
+    tagged_parts = [
+        (job_index, index_table.scan_piece(match, queries[job_index], per_job[job_index]))
+        for job_index, match in chunk
     ]
+    return tagged_parts, sorted(per_job.items())
 
 
 def _scan_match_sets_fused(index_table, jobs) -> List[List[np.ndarray]]:
     """Serial batch scan with one vectorized pass over all residual pieces.
 
-    Bit-identical to :func:`_scan_match_sets_serial` — same parts, same
-    per-query counter charges — but instead of one kernel call per
-    (query, piece) pair (whose fixed NumPy overhead dominates converged
-    point lookups over <=threshold-sized pieces), every pair the zone
-    shortcuts cannot settle joins a single concatenated window and the
-    whole batch pays ~one set of vector operations.
+    Bit-identical to the per-query ``[scan_piece(m) for m in matches]``
+    loop — same parts, same per-query counter charges — but instead of
+    one kernel call per (query, piece) pair (whose fixed NumPy overhead
+    dominates converged point lookups over <=threshold-sized pieces),
+    every pair the zone shortcuts cannot settle joins a single
+    concatenated window and the whole batch pays ~one set of vector
+    operations.
     """
     parts_per_job: List[List[np.ndarray]] = []
     pending: List[tuple] = []  # (match, query, stats, parts, slot)
@@ -583,7 +493,7 @@ def _scan_pairs(index_table, pairs) -> List[np.ndarray]:
       count for each later checked one, with survivors-zero dimensions
       charging nothing; exactly the accounting every kernel backend
       applies (it is backend-invariant by design), so batch-vs-serial
-      and arena-vs-object comparisons stay bit-identical.
+      comparisons stay bit-identical.
 
     The first dimension is evaluated across the full concatenated
     window; later dimensions only touch the surviving candidate list —
@@ -594,7 +504,6 @@ def _scan_pairs(index_table, pairs) -> List[np.ndarray]:
     pieces = [pair[0].piece for pair in pairs]
     starts = np.fromiter((piece.start for piece in pieces), np.int64, n_pairs)
     lens = np.fromiter((piece.size for piece in pieces), np.int64, n_pairs)
-    cat_end = np.cumsum(lens)
 
     all_checked = (True,) * n_dims
     check_low = np.array(
@@ -686,111 +595,6 @@ def scan_windows(
     return ids, bounds, scanned
 
 
-def _chunk_tagged(tagged, total_rows: int, workers: int) -> List[list]:
-    """Contiguous size-balanced chunks of tagged ``(job, match)`` items.
-
-    Same geometry policy as :func:`_chunk_matches`; chunks may span job
-    boundaries — the tags route every part and stat back to its query.
-    """
-    target = max(1, total_rows // (workers * 4))
-    chunks: List[list] = []
-    current: list = []
-    current_rows = 0
-    for item in tagged:
-        current.append(item)
-        current_rows += item[1].piece.size
-        if current_rows >= target:
-            chunks.append(current)
-            current = []
-            current_rows = 0
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _scan_match_sets_task(
-    backend_name: str,
-    index_table,
-    chunk,
-    queries,
-    stats_cls,
-):
-    # No trace span: query_batch falls back to sequential execution when
-    # tracing or metrics are live, so batch fan-outs never run observed.
-    config.enter_worker()
-    try:
-        per_job: dict = {}
-        tagged_parts = []
-        backend = kernels.thread_instance(backend_name)
-        with kernels.pinned(backend):
-            for job_index, match in chunk:
-                worker_stats = per_job.get(job_index)
-                if worker_stats is None:
-                    worker_stats = per_job[job_index] = stats_cls()
-                tagged_parts.append(
-                    (
-                        job_index,
-                        index_table.scan_piece(
-                            match, queries[job_index], worker_stats
-                        ),
-                    )
-                )
-        return tagged_parts, sorted(per_job.items())
-    finally:
-        config.exit_worker()
-
-
-def _scan_match_sets_procs(
-    column_handles, rowid_handle, tagged, total_rows, jobs, queries, procs
-):
-    """Batched piece-chunk fan-out over the process pool.
-
-    Chunks carry ``(job, piece-spec)`` tags; workers return tagged parts
-    plus per-job private stats, merged here in submission order — the
-    same contract as :func:`_scan_pieces_procs`, widened to many queries
-    per dispatch.  ``None`` when the batch is too small to be worth a
-    process hop; the caller falls through to threads/serial.
-    """
-    chunks = _chunk_tagged(tagged, total_rows, procs)
-    if len(chunks) < 2:
-        return None
-    backend_name = kernels.current_backend().name
-    _note_fanout("proc_batch_scan", len(chunks), procs)
-    pool = procpool.proc_pool()
-    procpool.note_submitted(len(chunks))
-    futures = [
-        pool.submit(
-            procpool.scan_match_sets_task,
-            backend_name,
-            column_handles,
-            rowid_handle,
-            [
-                (job_index, procpool.piece_spec(match))
-                for job_index, match in chunk
-            ],
-            queries,
-        )
-        for chunk in chunks
-    ]
-    parts_per_job: List[List[np.ndarray]] = [[] for _ in jobs]
-    received = 0
-    try:
-        for future in futures:
-            tagged_parts, per_job_stats = future.result()
-            procpool.note_done()
-            received += 1
-            for job_index, part in tagged_parts:
-                parts_per_job[job_index].append(part)
-            for job_index, worker_stats in per_job_stats:
-                jobs[job_index][2].merge(worker_stats)
-    finally:
-        if received != len(futures):  # failed fan-out: settle the ledger
-            procpool.note_done(len(futures) - received)
-        if obs_metrics.ENABLED:
-            procpool.publish_health()
-    return parts_per_job
-
-
 # ----------------------------------------------------- refinement advances
 
 def advance_jobs(pairs: Sequence[Tuple[object, int]]) -> List[int]:
@@ -798,144 +602,71 @@ def advance_jobs(pairs: Sequence[Tuple[object, int]]) -> List[int]:
 
     Every piece must carry a scheduled ``piece.job`` and the pieces must
     be disjoint leaf ranges (they are: KD-Tree leaves tile ``[0, N)``).
-    Each worker claims exclusive ownership of its piece for the duration
-    of the advance — invariant I9's checkable protocol.  Returns rows
+    Each task claims exclusive ownership of its piece for the duration
+    of the fan-out — invariant I9's checkable protocol.  Returns rows
     actually visited per pair, in pair order.
 
     The process tier only dispatches when the round's total granted rows
     reach :data:`~.config.MIN_PARALLEL_ROWS` — below that the fixed IPC
-    cost dwarfs the partition work — otherwise threads/serial apply.
+    cost dwarfs the partition work — and every job's arrays are
+    shm-backed; otherwise threads/serial apply.  A process worker swaps
+    rows in shared memory and ships back only ``(used, lo, hi, done)``,
+    which is applied here to the parent's job — deterministic because
+    each advance is a pure function of (arrays, pointers, grant) and the
+    pieces are disjoint.
     """
     if not pairs:
         return []
-    procs = _procs_eligible()
-    if (
-        len(pairs) == 1
-        or (config.get_workers() <= 1 and not procs)
-        or config.in_worker()
+    workers, procs = _tiers()
+    if len(pairs) == 1 or (workers <= 1 and not procs):
+        return [piece.job.advance(grant) for piece, grant in pairs]
+    handles = None
+    if procs and (
+        sum(min(grant, piece.job.remaining_rows) for piece, grant in pairs)
+        >= config.MIN_PARALLEL_ROWS
     ):
+        handles = [shm.handles_of(piece.job.arrays) for piece, _grant in pairs]
+        if any(job_handles is None for job_handles in handles):
+            handles = None
+    pieces = [piece for piece, _grant in pairs]
+    if handles is not None:
+        results = _fan_out(
+            "refine", _PROCS, procs, procpool.advance_task,
+            [
+                (
+                    job_handles, piece.job.start, piece.job.end,
+                    piece.job.key_index, piece.job.pivot, piece.job.lo,
+                    piece.job.hi, grant,
+                )
+                for (piece, grant), job_handles in zip(pairs, handles)
+            ],
+            claims=pieces,
+        )
+    elif workers > 1:
+        spans = None
+        if obs_trace.ENABLED:
+            spans = [
+                {"start": piece.start, "rows": min(grant, piece.job.remaining_rows)}
+                for piece, grant in pairs
+            ]
+        results = _fan_out(
+            "refine", _THREADS, workers, _advance,
+            [(piece.job, grant) for piece, grant in pairs],
+            spans,
+            claims=pieces,
+        )
+    else:
         return [piece.job.advance(grant) for piece, grant in pairs]
-    if procs:
-        granted = sum(
-            min(grant, piece.job.remaining_rows) for piece, grant in pairs
-        )
-        if granted >= config.MIN_PARALLEL_ROWS:
-            used = _advance_jobs_procs(pairs, procs)
-            if used is not None:
-                return used
-    if config.get_workers() <= 1:
-        return [piece.job.advance(grant) for piece, grant in pairs]
-    backend_name = kernels.current_backend().name
-    parent = _parent_span_id()
-    _note_fanout("refine", len(pairs), config.get_workers())
-    futures = []
-    for position, (piece, grant) in enumerate(pairs):
-        owner = f"refine-worker-{position}"
-        config.claim_piece(piece, owner)
-        futures.append(
-            config.pool().submit(
-                _advance_task, backend_name, parent, piece, grant, owner
-            )
-        )
-    return [future.result() for future in futures]
-
-
-def _advance_task(
-    backend_name: str,
-    parent: Optional[int],
-    piece,
-    grant: int,
-    owner: str,
-) -> int:
-    config.enter_worker()
-    try:
-        backend = kernels.thread_instance(backend_name)
-        with kernels.pinned(backend):
-            if obs_trace.ENABLED:
-                with obs_trace.TRACER.span(
-                    "morsel",
-                    parent=parent,
-                    op="refine",
-                    start=piece.start,
-                    rows=min(grant, piece.job.remaining_rows),
-                ):
-                    return piece.job.advance(grant)
-            return piece.job.advance(grant)
-    finally:
-        config.release_piece(piece, owner)
-        config.exit_worker()
-
-
-def _advance_jobs_procs(pairs, procs):
-    """Refinement fan-out over the process pool.
-
-    Each worker advances its job's Hoare partition directly in shared
-    memory (the swaps are immediately visible here) and ships back only
-    the pointer state ``(used, lo, hi, done)``, which is applied to the
-    parent's job object — deterministic because each job's advance is a
-    pure function of (arrays, pointers, grant), independent of the other
-    jobs (the pieces are disjoint).  Returns ``None`` when any job's
-    arrays are not shm-backed; the caller then uses threads/serial.
-    """
-    shipped = []
-    for piece, grant in pairs:
-        job = piece.job
-        handles = shm.handles_of(job.arrays)
-        if handles is None:
-            return None
-        shipped.append((piece, grant, job, handles))
-    parent = _parent_span_id()
-    telemetry = procbridge.request()
-    _note_fanout("proc_refine", len(shipped), procs)
-    pool = procpool.proc_pool()
-    procpool.note_submitted(len(shipped))
-    futures = []
-    for position, (piece, grant, job, handles) in enumerate(shipped):
-        owner = f"refine-proc-{position}"
-        config.claim_piece(piece, owner)
-        futures.append(
-            (
-                piece,
-                job,
-                owner,
-                pool.submit(
-                    procpool.advance_task,
-                    kernels.current_backend().name,
-                    handles,
-                    job.start,
-                    job.end,
-                    job.key_index,
-                    job.pivot,
-                    job.lo,
-                    job.hi,
-                    grant,
-                    telemetry,
-                ),
-            )
-        )
-    results = []
-    received = 0
-    try:
-        for piece, job, owner, future in futures:
-            try:
-                result = future.result()
-                procpool.note_done()
-                received += 1
-            finally:
-                config.release_piece(piece, owner)
-            if telemetry is None:
-                used, lo, hi, done = result
-            else:
-                used, lo, hi, done, payload = result
-                procbridge.absorb(payload, parent, op="proc_refine")
+    for piece, (used, lo, hi, done) in zip(pieces, results):
+        if used:  # the same update advance() makes, if it ran elsewhere
+            job = piece.job
             job.lo = lo
             job.hi = hi
             job.done = done
             job._paused = not done
-            results.append(used)
-    finally:
-        if received != len(futures):  # failed fan-out: settle the ledger
-            procpool.note_done(len(futures) - received)
-        if obs_metrics.ENABLED:
-            procpool.publish_health()
-    return results
+    return [used for used, _lo, _hi, _done in results]
+
+
+def _advance(job, grant: int):
+    used = job.advance(grant)
+    return used, job.lo, job.hi, job.done

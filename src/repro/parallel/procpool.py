@@ -51,8 +51,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ..errors import InvalidParameterError
 from . import shm
 
@@ -257,31 +255,31 @@ atexit.register(shutdown_procs)
 
 # ------------------------------------------------------------ worker tasks
 #
-# Module-level functions (picklable by reference).  Each attaches the shm
-# handles it was shipped, pins a process-private kernel backend instance,
-# runs the same code the serial path runs, and returns positions plus a
-# private QueryStats for submission-order merge in the parent.
+# Module-level functions (picklable by reference), submitted by the
+# executor's fan-out as ``task(backend_name, *args, telemetry)``.  Each
+# attaches the shm handles it was shipped and runs the same code the
+# serial path runs inside :func:`_run_task`; results travel back with
+# private QueryStats for the parent's submission-order merge.
 
-class _PieceShim:
-    """Worker-side stand-in for a KD leaf: just the fields scan_piece reads."""
+def _run_task(backend_name, telemetry, work, op, stats=None, **attrs) -> tuple:
+    """The frame every task body runs in: ``work()`` under a pinned
+    process-private instance of the caller's kernel backend, with this
+    task's telemetry captured when the parent asked for it.  Returns
+    ``work()``'s result tuple, plus the telemetry payload when requested.
+    """
+    from .. import kernels
+    from ..obs.procbridge import WorkerCapture
 
-    __slots__ = ("start", "end", "size", "zone_lo", "zone_hi")
-
-    def __init__(self, start, end, zone_lo, zone_hi):
-        self.start = start
-        self.end = end
-        self.size = end - start
-        self.zone_lo = zone_lo
-        self.zone_hi = zone_hi
-
-
-class _MatchShim:
-    __slots__ = ("piece", "check_low", "check_high")
-
-    def __init__(self, piece, check_low, check_high):
-        self.piece = piece
-        self.check_low = check_low
-        self.check_high = check_high
+    capture = WorkerCapture(telemetry, op=op, stats=stats, **attrs)
+    capture.begin()
+    try:
+        with kernels.pinned(kernels.thread_instance(backend_name)):
+            result = work()
+    finally:
+        payload = capture.finish()
+    if telemetry is None:
+        return result
+    return result + (payload,)
 
 
 def piece_spec(match) -> tuple:
@@ -297,6 +295,18 @@ def piece_spec(match) -> tuple:
     )
 
 
+def _match_of(spec: tuple):
+    """Rebuild a :func:`piece_spec` as a PieceMatch over a bare Piece."""
+    from ..core.kdtree import PieceMatch
+    from ..core.node import Piece
+
+    start, end, zone_lo, zone_hi, check_low, check_high = spec
+    piece = Piece(start, end)
+    piece.zone_lo = zone_lo
+    piece.zone_hi = zone_hi
+    return PieceMatch(piece, check_low, check_high)
+
+
 def scan_range_task(
     backend_name: str,
     handles: Sequence[shm.ArrayHandle],
@@ -307,116 +317,62 @@ def scan_range_task(
     check_high,
     telemetry=None,
 ):
+    """Scan rows ``[start, end)``; returns ``(positions, stats)``."""
     from .. import kernels
     from ..core.metrics import QueryStats
-    from ..obs.procbridge import WorkerCapture
 
     columns = [shm.attach(handle) for handle in handles]
-    worker_stats = QueryStats()
-    backend = kernels.thread_instance(backend_name)
-    capture = WorkerCapture(
-        telemetry, op="scan", stats=worker_stats, start=start, rows=end - start
+    stats = QueryStats()
+
+    def scan():
+        positions = kernels.range_scan(
+            columns, start, end, query, stats, check_low, check_high
+        )
+        return positions, stats
+
+    return _run_task(
+        backend_name, telemetry, scan, op="scan", stats=stats,
+        start=start, rows=end - start,
     )
-    capture.begin()
-    try:
-        with kernels.pinned(backend):
-            positions = kernels.range_scan(
-                columns, start, end, query, worker_stats, check_low, check_high
-            )
-    finally:
-        payload = capture.finish()
-    if telemetry is None:
-        return positions, worker_stats
-    return positions, worker_stats, payload
-
-
-def scan_pieces_task(
-    backend_name: str,
-    column_handles: Sequence[shm.ArrayHandle],
-    rowid_handle: shm.ArrayHandle,
-    specs: Sequence[tuple],
-    query,
-    telemetry=None,
-):
-    from .. import kernels
-    from ..core.index_base import IndexTable
-    from ..core.metrics import QueryStats
-    from ..obs.procbridge import WorkerCapture
-
-    columns = [shm.attach(handle) for handle in column_handles]
-    rowids = shm.attach(rowid_handle)
-    index_table = IndexTable(columns, rowids)
-    worker_stats = QueryStats()
-    backend = kernels.thread_instance(backend_name)
-    capture = WorkerCapture(
-        telemetry,
-        op="piece_scan",
-        stats=worker_stats,
-        pieces=len(specs),
-        rows=sum(end - start for start, end, *_ in specs),
-    )
-    capture.begin()
-    parts: List[np.ndarray] = []
-    try:
-        with kernels.pinned(backend):
-            for start, end, zone_lo, zone_hi, check_low, check_high in specs:
-                match = _MatchShim(
-                    _PieceShim(start, end, zone_lo, zone_hi),
-                    check_low,
-                    check_high,
-                )
-                parts.append(index_table.scan_piece(match, query, worker_stats))
-    finally:
-        payload = capture.finish()
-    if telemetry is None:
-        return parts, worker_stats
-    return parts, worker_stats, payload
 
 
 def scan_match_sets_task(
     backend_name: str,
-    column_handles: Sequence[shm.ArrayHandle],
-    rowid_handle: shm.ArrayHandle,
+    handles: Sequence[shm.ArrayHandle],
     tagged_specs: Sequence[tuple],
     queries: Sequence[object],
+    op: str,
+    telemetry=None,
 ):
-    """Scan a batch chunk of ``(job_index, piece-spec)`` items.
-
-    The batched scan path never runs under live tracing (query_batch
-    falls back to sequential execution there), so unlike the per-query
-    tasks above this one carries no telemetry capture.  Returns tagged
-    parts plus per-job private stats for submission-order merge.
-    """
-    from .. import kernels
+    """Scan a chunk of ``(job_index, piece-spec)`` items over the index
+    table whose columns + rowids ``handles`` name.  Returns tagged parts
+    plus ``(job_index, stats)`` pairs in job order."""
     from ..core.index_base import IndexTable
     from ..core.metrics import QueryStats
 
-    columns = [shm.attach(handle) for handle in column_handles]
-    rowids = shm.attach(rowid_handle)
-    index_table = IndexTable(columns, rowids)
-    backend = kernels.thread_instance(backend_name)
-    per_job = {}
-    tagged_parts: List[tuple] = []
-    with kernels.pinned(backend):
-        for job_index, spec in tagged_specs:
-            start, end, zone_lo, zone_hi, check_low, check_high = spec
-            worker_stats = per_job.get(job_index)
-            if worker_stats is None:
-                worker_stats = per_job[job_index] = QueryStats()
-            match = _MatchShim(
-                _PieceShim(start, end, zone_lo, zone_hi),
-                check_low,
-                check_high,
+    arrays = [shm.attach(handle) for handle in handles]
+    index_table = IndexTable(arrays[:-1], arrays[-1])
+    chunk = [(job_index, _match_of(spec)) for job_index, spec in tagged_specs]
+    per_job = {job_index: QueryStats() for job_index, _match in chunk}
+
+    def scan():
+        tagged_parts = [
+            (
+                job_index,
+                index_table.scan_piece(
+                    match, queries[job_index], per_job[job_index]
+                ),
             )
-            tagged_parts.append(
-                (
-                    job_index,
-                    index_table.scan_piece(
-                        match, queries[job_index], worker_stats
-                    ),
-                )
-            )
-    return tagged_parts, sorted(per_job.items())
+            for job_index, match in chunk
+        ]
+        return tagged_parts, sorted(per_job.items())
+
+    return _run_task(
+        backend_name, telemetry, scan, op=op,
+        stats=per_job[chunk[0][0]] if len(per_job) == 1 else None,
+        pieces=len(chunk),
+        rows=sum(match.piece.size for _job_index, match in chunk),
+    )
 
 
 def advance_task(
@@ -434,28 +390,26 @@ def advance_task(
     """Advance a paused IncrementalPartition over the shared arrays.
 
     The swaps mutate shared memory directly; only the pointer state
-    travels back for the parent to apply to its own job object.
+    ``(used, lo, hi, done)`` travels back for the parent to apply to its
+    own job object.
     """
-    from .. import kernels
     from ..core.partition import IncrementalPartition
-    from ..obs.procbridge import WorkerCapture
 
     arrays = [shm.attach(handle) for handle in handles]
+    # Built before the capture starts: the parent already traced this
+    # job's partition.start when it scheduled the piece.
     job = IncrementalPartition(arrays, start, end, key_index, pivot)
     job.lo = lo
     job.hi = hi
     job.done = lo >= hi
-    backend = kernels.thread_instance(backend_name)
-    capture = WorkerCapture(telemetry, op="refine", start=start, grant=grant)
-    capture.begin()
-    try:
-        with kernels.pinned(backend):
-            used = job.advance(grant)
-    finally:
-        payload = capture.finish()
-    if telemetry is None:
+
+    def advance():
+        used = job.advance(grant)
         return used, job.lo, job.hi, job.done
-    return used, job.lo, job.hi, job.done, payload
+
+    return _run_task(
+        backend_name, telemetry, advance, op="refine", start=start, grant=grant
+    )
 
 
 # --------------------------------------------------------------- env setup

@@ -260,14 +260,14 @@ class TestProcScanRange:
         assert np.array_equal(positions, want)
 
     def test_worker_scans_inside_worker_stay_serial(self):
-        # _procs_eligible must refuse nested fan-out.
+        # The tier read must refuse nested fan-out.
         procpool.set_process_workers(2)
         par_config.enter_worker()
         try:
-            assert executor._procs_eligible() == 0
+            assert executor._tiers()[1] == 0
         finally:
             par_config.exit_worker()
-        assert executor._procs_eligible() == 2
+        assert executor._tiers()[1] == 2
 
 
 # --------------------------------------------------------- cross-backend I/O
