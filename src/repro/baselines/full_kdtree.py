@@ -88,18 +88,7 @@ class FullKDTree(BaseIndex):
         if self._tree is None:
             with PhaseTimer(stats, "initialization"):
                 self._build(stats)
-        with PhaseTimer(stats, "index_search"):
-            matches = self._tree.search(query, stats)
-        with PhaseTimer(stats, "scan"):
-            parts = self._index.scan_pieces(matches, query, stats)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    def _supports_batch(self) -> bool:
-        # Once built, every query is a pure lookup + piece scan — exactly
-        # the default batch prelude/postlude.
-        return self._tree is not None and self._index is not None
+        return self._search_and_scan(query, stats)
 
     @property
     def converged(self) -> bool:

@@ -156,21 +156,7 @@ class AdaptiveKDTree(BaseIndex):
                 self._initialize(stats)
         with PhaseTimer(stats, "adaptation"):
             self._adapt(query, stats)
-        with PhaseTimer(stats, "index_search"):
-            matches = self._tree.search(query, stats)
-        with PhaseTimer(stats, "scan"):
-            parts = self._index.scan_pieces(matches, query, stats)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    def _supports_batch(self) -> bool:
-        # Converged AKD adaptation is a no-op (no above-threshold piece
-        # intersects any query), so a converged query is exactly lookup +
-        # scan — the default batch prelude.
-        return (
-            self.converged and self._tree is not None and self._index is not None
-        )
+        return self._search_and_scan(query, stats)
 
     # -- introspection -----------------------------------------------------------------
 

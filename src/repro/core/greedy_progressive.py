@@ -97,9 +97,6 @@ class GreedyProgressiveKDTree(ProgressiveKDTree):
                 f"query_limit must be >= 1, got {query_limit}"
             )
         self.query_limit = query_limit
-        # Fused converged lookup: (query, matches, visited) carried from
-        # the pricing descent to the answering scan.
-        self._fused_lookup = None
         self._t_total: Optional[float] = None
         self._fixed_budget_seconds: Optional[float] = None  # GPFQ spreading
         self._under_tau = False
@@ -192,21 +189,9 @@ class GreedyProgressiveKDTree(ProgressiveKDTree):
         if self._tree is None:
             return model.full_scan_seconds()
         nodes_before = stats.lookup_nodes
-        if self.phase == CONVERGED:
-            # Fused pricing+answering descent: once the tree is frozen
-            # the answering search visits exactly the nodes the pricing
-            # probe would (the batch prelude already banks on this), so
-            # one descent serves both — _refined_scan reuses the matches
-            # and charges the answering search's visits itself, keeping
-            # every counter identical to the probe+search sequence.
-            matches = self._tree.search(query, stats)
-            touched = sum(match.piece.size for match in matches)
-            visited = stats.lookup_nodes - nodes_before
-            self._fused_lookup = (query, matches, visited)
-        else:
-            # Pricing-only descent: same visits, no match construction.
-            touched = self._tree.arena.probe(query, stats)
-            visited = stats.lookup_nodes - nodes_before
+        # Pricing-only descent: same visits, no match construction.
+        touched = self._tree.arena.probe(query, stats)
+        visited = stats.lookup_nodes - nodes_before
         # The answering search after refinement re-pays roughly the same
         # node visits, so count them twice to stay conservative.
         return 2.0 * visited * model.profile.random_access + model.scan_seconds(
@@ -270,137 +255,13 @@ class GreedyProgressiveKDTree(ProgressiveKDTree):
                 answer = self._refined_scan(query, stats)
         # Reactive phase: the estimate was conservative; top the budget up
         # until the gross model cost reaches t_total.
-        if self.phase != CONVERGED and self._fixed_budget_seconds is None:
+        if self._fixed_budget_seconds is None:
             with PhaseTimer(stats, "adaptation"):
                 self._reactive(query, stats)
         stats.delta_used = None if self.n_rows == 0 else stats.indexing_work / (
             (self.n_dims + 1) * self.n_rows
         )
         return answer
-
-    def _refined_scan(self, query: RangeQuery, stats: QueryStats) -> np.ndarray:
-        fused = self._fused_lookup
-        if fused is None or fused[0] is not query:
-            self._fused_lookup = None
-            return super()._refined_scan(query, stats)
-        # Converged fused path: the pricing descent already built the
-        # matches.  Charge the answering search's node visits here so
-        # _record_scan_cost sees the same scanned/visited deltas as the
-        # separate-descent sequence.
-        self._fused_lookup = None
-        _, matches, visited = fused
-        scanned_before = stats.scanned
-        nodes_before = stats.lookup_nodes
-        stats.lookup_nodes += visited
-        from ..parallel import executor as parallel_executor
-
-        if parallel_executor.batch_scan_serial():
-            # Guaranteed-serial config: same per-piece loop the executor
-            # would run, minus the fan-out bookkeeping layers.
-            index_table = self._index
-            parts = [
-                index_table.scan_piece(match, query, stats)
-                for match in matches
-            ]
-        else:
-            parts = self._index.scan_pieces(matches, query, stats)
-        self._record_scan_cost(stats, scanned_before, nodes_before)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    # -------------------------------------------------------------- batching
-
-    def _supports_batch(self) -> bool:
-        return super()._supports_batch() and self._t_total is not None
-
-    def _batch_prelude(
-        self, query, stats, matches, visited: int, touched=None
-    ) -> None:
-        # Mirror the converged sequential control flow exactly: the
-        # estimate's probe descent charges lookup_nodes (unless a GPFQ
-        # fixed budget skips the estimate), the budget prices against
-        # t_total, and the answering descent charges once more.
-        self._maybe_switch_to_tau()
-        if self._fixed_budget_seconds is not None:
-            budget_rows = self._budget_rows_for(self._fixed_budget_seconds)
-        else:
-            model = self.cost_model
-            stats.lookup_nodes += visited
-            if touched is None:
-                touched = 0
-                for match in matches:
-                    touched += match.piece.size
-            net = (
-                2.0 * visited * model.profile.random_access
-                + model.scan_seconds(self._net_scan_elements(query, touched))
-            )
-            budget_rows = self._budget_rows_for(self._t_total - net)
-        stats.delta_used = budget_rows / self.n_rows
-        stats.lookup_nodes += visited
-
-    def _batch_prelude_many(self, queries, stats_list, visited, touched):
-        # The scalar prelude is pure profile arithmetic whenever no
-        # GPFQ fixed budget is live, no histograms refine the scan
-        # estimate, and tau (if any) has already been adopted — then
-        # _maybe_switch_to_tau is a guaranteed no-op and the whole
-        # batch prices in five vector expressions that replay the
-        # scalar float operations element by element.
-        if (
-            self._fixed_budget_seconds is not None
-            or self._histograms is not None
-            or (self.tau is not None and not self._under_tau)
-        ):
-            super()._batch_prelude_many(queries, stats_list, visited, touched)
-            return
-        model = self.cost_model
-        profile = model.profile
-        elements = (touched * self._scan_d_factor()).astype(np.int64)
-        net = (
-            2.0 * visited * profile.random_access
-            + elements * profile.seq_read
-        )
-        headroom = self._t_total - net
-        budget_rows = (
-            headroom / model.refinement_row_seconds() + 1e-6
-        ).astype(np.int64)
-        np.minimum(budget_rows, self.n_rows, out=budget_rows)
-        budget_rows[headroom <= 0.0] = 0
-        delta_used = budget_rows / self.n_rows
-        visits = visited.tolist()
-        delta_list = delta_used.tolist()
-        for position, stats in enumerate(stats_list):
-            stats.delta_used = delta_list[position]
-            # The scalar prelude charges the descent twice (estimate
-            # probe + answering lookup).
-            stats.lookup_nodes += 2 * visits[position]
-
-    def _batch_postlude(self, query, stats, visited: int) -> None:
-        self._record_scan_cost(stats, 0, stats.lookup_nodes - visited)
-        stats.delta_used = None if self.n_rows == 0 else stats.indexing_work / (
-            (self.n_dims + 1) * self.n_rows
-        )
-
-    def _batch_postlude_many(self, queries, stats_list, visited):
-        # The PKD tau recording plus the sequential epilogue's
-        # delta_used recomputation, inlined over the batch.
-        profile = self.cost_model.profile
-        seq_read = profile.seq_read
-        random_access = profile.random_access
-        n_rows = self.n_rows
-        denominator = (self.n_dims + 1) * n_rows
-        visits = visited.tolist()
-        last = self._last_scan_seconds
-        for position, stats in enumerate(stats_list):
-            last = (
-                stats.scanned * seq_read + visits[position] * random_access
-            )
-            stats.delta_used = (
-                None
-                if n_rows == 0
-                else (stats.copied + stats.swapped) / denominator
-            )
-        self._last_scan_seconds = last
 
     def debug_state(self) -> IndexDebugState:
         """PKD state plus the greedy controller's target bookkeeping."""

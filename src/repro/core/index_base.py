@@ -23,7 +23,7 @@ from ..errors import InvalidQueryError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .kdtree import PieceMatch
-from .metrics import QueryStats
+from .metrics import PhaseTimer, QueryStats
 from .query import RangeQuery
 from .scan import range_scan
 from .table import Table
@@ -258,7 +258,9 @@ class BaseIndex(ABC):
     """Abstract incremental multidimensional index.
 
     Subclasses implement :meth:`_execute`; :meth:`query` wraps it with
-    validation, total timing, and convergence reporting.
+    validation, total timing, and convergence reporting.  A converged KD
+    index is answered by the one converged reader instead
+    (:meth:`_reads_converged`), whatever backend built it.
     """
 
     #: Short name used in benchmark tables (paper abbreviations).
@@ -292,11 +294,47 @@ class BaseIndex(ABC):
         # then never mix backends mid-query, and pool workers know which
         # backend to instantiate for their morsels.
         with kernels.pinned():
-            row_ids = self._execute(query, stats)
+            row_ids = self._route_query(query, stats)
         stats.seconds = time.perf_counter() - begin
         stats.converged = self.converged
         self.queries_executed += 1
         return QueryResult(row_ids, stats)
+
+    def _reads_converged(self) -> bool:
+        """Whether the next query goes to the converged reader.
+
+        True once the index is converged and has both a KD-Tree and an
+        index table: no query indexes anything any more, so whatever
+        built the tree, one descent plus one piece scan answers.  Read
+        per query, never latched: a background refiner may converge the
+        index between two queries.
+        """
+        return (
+            self.converged
+            and getattr(self, "tree", None) is not None
+            and getattr(self, "index_table", None) is not None
+        )
+
+    def _route_query(self, query: RangeQuery, stats: QueryStats) -> np.ndarray:
+        """Answer one query through the converged reader or the backend."""
+        if self._reads_converged():
+            return self._search_and_scan(query, stats)
+        return self._execute(query, stats)
+
+    def _search_and_scan(self, query: RangeQuery, stats: QueryStats) -> np.ndarray:
+        """The converged reader: one tree descent, then one piece scan.
+
+        Also the tail of every backend whose query ends in a plain
+        lookup + scan (AKD after adaptation, the full KD-Trees after
+        their build).
+        """
+        with PhaseTimer(stats, "index_search"):
+            matches = self.tree.search(query, stats)
+        with PhaseTimer(stats, "scan"):
+            parts = self.index_table.scan_pieces(matches, query, stats)
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(parts)
 
     def query_batch(self, queries: Sequence[RangeQuery]) -> List[QueryResult]:
         """Answer ``queries`` in order; returns one result per query.
@@ -305,8 +343,8 @@ class BaseIndex(ABC):
         — same answers, same deterministic work counters per query — but
         amortised: while the index still adapts, queries drain one at a
         time (each may reorganise data, so adaptation order must match
-        the sequential path exactly); once the backend reports it can
-        batch (KD family, converged), the remaining queries share one
+        the sequential path exactly); once the converged reader takes
+        over (:meth:`_reads_converged`), the remaining queries share one
         tree descent pass (vectorized over the arena) and
         one morsel/proc scan fan-out for the whole batch.
 
@@ -331,7 +369,7 @@ class BaseIndex(ABC):
                 obs_trace.ENABLED
                 or obs_metrics.ENABLED
                 or total - position == 1
-                or not self._supports_batch()
+                or not self._reads_converged()
             ):
                 results.append(self.query(queries[position]))
                 position += 1
@@ -340,65 +378,11 @@ class BaseIndex(ABC):
             position = total
         return results
 
-    def _supports_batch(self) -> bool:
-        """Whether the batched tail of :meth:`query_batch` may run now.
-
-        KD-family backends return True once converged (no query mutates
-        state any more, so a shared descent cannot reorder adaptation);
-        everything else inherits False and stays on the sequential path.
-        """
-        return False
-
-    def _batch_prelude(
-        self,
-        query: RangeQuery,
-        stats: QueryStats,
-        matches,
-        visited: int,
-        touched: Optional[int] = None,
-    ) -> None:
-        """Replicate the sequential pre-scan stats of one converged query.
-
-        ``matches``/``visited`` come from the shared descent; the default
-        covers backends whose converged query is exactly lookup + scan.
-        The array-native pipeline passes ``matches=None`` plus the
-        precomputed ``touched`` row total (the only thing backends read
-        matches for); the PieceMatch path leaves ``touched`` unset.
-        """
-        stats.lookup_nodes += visited
-
-    def _batch_postlude(
-        self, query: RangeQuery, stats: QueryStats, visited: int
-    ) -> None:
-        """Replicate the sequential post-scan bookkeeping (default: none)."""
-
-    def _batch_postlude_many(self, queries, stats_list, visited) -> None:
-        """Run the postlude for a whole arena batch (``visited`` is a
-        per-query array); same contract as :meth:`_batch_prelude_many`."""
-        for position, (query, stats) in enumerate(zip(queries, stats_list)):
-            self._batch_postlude(query, stats, int(visited[position]))
-
-    def _batch_prelude_many(
-        self, queries, stats_list, visited, touched
-    ) -> None:
-        """Run the prelude for a whole arena batch (``visited``/``touched``
-        are per-query arrays).  Backends whose prelude is pure arithmetic
-        override this with a vectorized twin; the default defers to the
-        scalar hook per query, in query order."""
-        for position, (query, stats) in enumerate(zip(queries, stats_list)):
-            self._batch_prelude(
-                query,
-                stats,
-                None,
-                int(visited[position]),
-                touched=int(touched[position]),
-            )
-
     def _query_batch_converged(
         self, queries: List[RangeQuery]
     ) -> List[QueryResult]:
-        """The batched tail: shared descent, one scan fan-out, per-query
-        stats replicated via the prelude/postlude hooks.
+        """The batched tail of the converged reader: shared descent, one
+        scan fan-out, each query charged exactly its own descent and scan.
 
         With a guaranteed-serial scan tier the whole batch runs
         array-native (:meth:`_batch_arena_core`) — no :class:`PieceMatch`
@@ -441,13 +425,11 @@ class BaseIndex(ABC):
         for query, stats, (matches, visited) in zip(
             queries, stats_list, descents
         ):
-            self._batch_prelude(query, stats, matches, visited)
+            stats.lookup_nodes += visited
             jobs.append((matches, query, stats))
         parts_per = parallel_executor.scan_match_sets(index_table, jobs)
         rows_per: List[np.ndarray] = []
-        for query, stats, (matches, visited), parts in zip(
-            queries, stats_list, descents, parts_per
-        ):
+        for parts in parts_per:
             filled = [part for part in parts if part.size]
             if not filled:
                 row_ids = np.empty(0, dtype=np.int64)
@@ -455,7 +437,6 @@ class BaseIndex(ABC):
                 row_ids = filled[0]
             else:
                 row_ids = np.concatenate(filled)
-            self._batch_postlude(query, stats, visited)
             rows_per.append(row_ids)
         return stats_list, rows_per
 
@@ -483,11 +464,9 @@ class BaseIndex(ABC):
         n_queries = len(queries)
         n_leaves = int(leaf_node.size)
         sizes = his[leaf_node] - los[leaf_node]
-        size_cum = np.zeros(n_leaves + 1, dtype=np.int64)
-        np.cumsum(sizes, out=size_cum[1:])
-        touched_per = size_cum[boundaries[1:]] - size_cum[boundaries[:-1]]
         stats_list = [QueryStats() for _ in queries]
-        self._batch_prelude_many(queries, stats_list, visited, touched_per)
+        for stats, visits in zip(stats_list, visited.tolist()):
+            stats.lookup_nodes += visits
 
         # Zone shortcuts, vectorized: same interval tests as
         # IndexTable.zone_shortcut, evaluated for every leaf at once.
@@ -576,10 +555,6 @@ class BaseIndex(ABC):
                 else:
                     row_ids = np.concatenate(row_parts)
             rows_per.append(row_ids)
-        # All scan charges are final here, so the postludes (which read
-        # the finished counters) run in query order exactly as the
-        # sequential path interleaves them.
-        self._batch_postlude_many(queries, stats_list, visited)
         return stats_list, rows_per
 
     def _observed_query(self, query: RangeQuery, stats: QueryStats) -> QueryResult:
@@ -606,7 +581,7 @@ class BaseIndex(ABC):
         begin = time.perf_counter()
         try:
             with kernels.pinned():  # same per-query snapshot as query()
-                row_ids = self._execute(query, stats)
+                row_ids = self._route_query(query, stats)
         except BaseException:
             stats.seconds = time.perf_counter() - begin
             stats.converged = self.converged

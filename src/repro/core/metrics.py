@@ -59,7 +59,8 @@ class QueryStats:
         box); the piece's whole rowid range is returned directly.
     delta_used:
         Indexing budget actually spent by progressive indexes, as a
-        fraction of N (``None`` for non-progressive indexes).
+        fraction of N (``None`` for non-progressive indexes, and for
+        queries answered by the converged reader, which index nothing).
     converged:
         Whether the index is fully converged after this query.
     """

@@ -578,50 +578,6 @@ class ProgressiveKDTree(BaseIndex):
         with PhaseTimer(stats, "scan"):
             return self._refined_scan(query, stats)
 
-    # -------------------------------------------------------------- batching
-
-    def _supports_batch(self) -> bool:
-        return self.phase == CONVERGED and self._tree is not None
-
-    def _batch_prelude(
-        self, query, stats, matches, visited: int, touched=None
-    ) -> None:
-        # Sequential converged PKD still prices a budget (spent on
-        # nothing) and reports it as delta_used before the lookup.
-        budget = self._budget_rows()
-        stats.delta_used = budget / self.n_rows
-        stats.lookup_nodes += visited
-
-    def _batch_prelude_many(self, queries, stats_list, visited, touched):
-        # _budget_rows reads only controller state no prelude mutates,
-        # so one pricing covers the whole batch.
-        delta_used = self._budget_rows() / self.n_rows
-        visits = visited.tolist()
-        for position, stats in enumerate(stats_list):
-            stats.delta_used = delta_used
-            stats.lookup_nodes += visits[position]
-
-    def _batch_postlude(self, query, stats, visited: int) -> None:
-        # _refined_scan records the scan cost for the tau controller;
-        # only the answering descent's nodes count towards it.
-        self._record_scan_cost(stats, 0, stats.lookup_nodes - visited)
-
-    def _batch_postlude_many(self, queries, stats_list, visited):
-        # Inlined _record_scan_cost per query: with nodes_before set to
-        # lookup_nodes - visited, the recorded cost reduces to
-        # scanned * seq_read + visited * random_access.  Only the last
-        # query's record survives, exactly as in the sequential loop.
-        profile = self.cost_model.profile
-        seq_read = profile.seq_read
-        random_access = profile.random_access
-        visits = visited.tolist()
-        last = self._last_scan_seconds
-        for position, stats in enumerate(stats_list):
-            last = (
-                stats.scanned * seq_read + visits[position] * random_access
-            )
-        self._last_scan_seconds = last
-
     # ---------------------------------------------------------------- metadata
 
     @property

@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import IndexStateError
 from .index_base import BaseIndex, IndexDebugState, IndexTable
 from .kdtree import KDTree
-from .metrics import PhaseTimer, QueryStats
+from .metrics import QueryStats
 from .query import RangeQuery
 from .table import Table
 
@@ -195,16 +195,9 @@ class FrozenKDIndex(BaseIndex):
         return frozen
 
     def _execute(self, query: RangeQuery, stats: QueryStats) -> np.ndarray:
-        with PhaseTimer(stats, "index_search"):
-            matches = self._tree.search(query, stats)
-        with PhaseTimer(stats, "scan"):
-            parts = [self._index.scan_piece(m, query, stats) for m in matches]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    def _supports_batch(self) -> bool:
-        return True
+        # Never reached through query(): a frozen index is converged, so
+        # the converged reader answers.
+        return self._search_and_scan(query, stats)
 
     @property
     def converged(self) -> bool:

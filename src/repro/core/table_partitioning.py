@@ -300,7 +300,7 @@ class ShardedIndex(BaseIndex):
             for shard, index in survivors:
                 shard_stats = QueryStats()
                 outcomes.append(
-                    (shard, index._execute(query, shard_stats), shard_stats)
+                    (shard, index._route_query(query, shard_stats), shard_stats)
                 )
         parts: List[np.ndarray] = []
         for shard, local_ids, shard_stats in outcomes:
@@ -446,7 +446,7 @@ def _shard_execute_task(
         shard_stats = QueryStats()
         backend = kernels.thread_instance(backend_name)
         with kernels.pinned(backend):
-            local_ids = index._execute(query, shard_stats)
+            local_ids = index._route_query(query, shard_stats)
         return local_ids, shard_stats
     finally:
         parallel_config.exit_worker()

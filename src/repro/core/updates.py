@@ -86,6 +86,14 @@ class AppendableAdaptiveKDTree(AdaptiveKDTree):
         return len(self._deleted)
 
     @property
+    def converged(self) -> bool:
+        """True when the tree is converged *and* no pending row or
+        tombstone remains: until then the next query may merge and
+        re-crack, and answers need the pending scan and the tombstone
+        filter of :meth:`_execute`."""
+        return super().converged and not self.n_pending and not self._deleted
+
+    @property
     def logical_rows(self) -> int:
         """Rows currently visible to queries."""
         base = self.n_rows if self._index is None else self._index.n_rows

@@ -325,6 +325,10 @@ def test_progressive_runs_match_walk_oracle(oracle_cls, index_cls, delta, worker
 
 @pytest.mark.parametrize("mode", ["tau_above", "tau_below", "query_limit"])
 def test_interactivity_modes_match_walk_oracle(mode):
+    # The serial schedule, whatever the ambient worker count: the
+    # round-based refiner spends tau's throttled budget differently and
+    # need not reach the node count asserted below.
+    par_config.set_workers(1)
     table = uniform_table()
     full_scan = CostModel(
         MachineProfile.deterministic(), table.n_rows, table.n_columns

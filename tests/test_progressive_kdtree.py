@@ -124,7 +124,7 @@ class TestPhases:
         stats = index.query(small_queries[0]).stats
         assert stats.indexing_work == 0
         assert stats.nodes_created == 0
-        assert stats.delta_used is not None  # still reported (as budget)
+        assert stats.delta_used is None  # the converged reader spends nothing
 
 
 class TestConvergence:

@@ -10,7 +10,13 @@ from repro.core.serialize import (
     save_index,
     snapshot_index,
 )
+from repro.fuzz import FuzzCase, build_workload, make_backend
 from tests.conftest import make_queries, make_uniform_table
+from tests.test_arena import COUNTER_FIELDS
+
+
+def counters(stats):
+    return {name: getattr(stats, name) for name in COUNTER_FIELDS}
 
 
 def warmed_index(cls, n_queries=10, **kwargs):
@@ -243,3 +249,36 @@ class TestZoneMapRoundTrip:
         for query in make_queries(table, 5, width_fraction=0.3, seed=55):
             got = np.sort(frozen.query(query).row_ids)
             assert np.array_equal(got, reference_answer(table, query))
+
+
+class TestOneReadPath:
+    """A converged KD index answers through the one converged reader,
+    whatever built it: the live index and its reloaded snapshot give
+    identical answers and identical counters, scalar and batched."""
+
+    @pytest.mark.parametrize("backend", ["avgkd", "medkd", "akd", "pkd", "gpkd"])
+    def test_converged_index_reads_like_its_snapshot(self, backend):
+        case = FuzzCase(
+            seed=11, kind="uniform", n_rows=1_500, n_dims=2, n_queries=40,
+            size_threshold=64, delta=0.25,
+        )
+        table, queries = build_workload(case)
+        index = make_backend(backend, table, case)
+        extra = make_queries(table, 400, width_fraction=0.1, seed=52)
+        for query in queries + extra:
+            if index.converged:
+                break
+            index.query(query)
+        assert index.converged
+        frozen = FrozenKDIndex.from_snapshot(snapshot_index(index))
+        for query in queries:
+            live = index.query(query)
+            reloaded = frozen.query(query)
+            assert np.array_equal(live.row_ids, reloaded.row_ids)
+            assert counters(live.stats) == counters(reloaded.stats)
+            assert live.stats.delta_used is None
+        for live, reloaded in zip(
+            index.query_batch(queries), frozen.query_batch(queries)
+        ):
+            assert np.array_equal(live.row_ids, reloaded.row_ids)
+            assert counters(live.stats) == counters(reloaded.stats)

@@ -114,6 +114,37 @@ class TestDelete:
         assert index.delete([10**9, -4]) == 0
 
 
+class TestConvergedReads:
+    def test_query_batch_sees_appends_and_deletes(self):
+        """A converged tree with pending rows or tombstones is not a
+        converged index: the batched tail must not skip the pending scan
+        and the tombstone filter that a scalar query applies."""
+        table = make_uniform_table(4_000, 2, seed=31)
+        index = AppendableAdaptiveKDTree(table, size_threshold=64)
+        for query in make_queries(table, 2_000, width_fraction=0.1, seed=32):
+            if index.converged:
+                break
+            index.query(query)
+        assert index.converged
+        mirror = Mirror(table)
+        rows = np.array([[1.0, 1.0], [2.0, 2.0]])
+        new_ids = index.append(rows)
+        mirror.append(rows)
+        index.delete(np.arange(10))
+        mirror.deleted.update(range(10))
+        full = RangeQuery([-np.inf, -np.inf], [np.inf, np.inf])
+        scalar = np.sort(index.query(full).row_ids)
+        assert scalar.size == 3_992
+        assert np.isin(new_ids, scalar).all()
+        for result in index.query_batch([full, full, full]):
+            assert np.array_equal(np.sort(result.row_ids), scalar)
+        for query in make_queries(table, 8, width_fraction=0.2, seed=33):
+            want = logical_answer(mirror.columns, mirror.deleted, query)
+            for result in index.query_batch([query, query]):
+                assert np.array_equal(np.sort(result.row_ids), want)
+        assert not index.converged
+
+
 class TestMerge:
     def test_merge_triggered_by_fraction(self, setup):
         table, index, mirror = setup
