@@ -5,7 +5,7 @@ These are the numbers the calibrated cost model feeds on; printing them
 next to the calibrated profile makes the model's inputs inspectable.
 
 The backend-comparison benchmark additionally races every registered
-kernel backend (reference vs fused NumPy vs numba, when installed) over
+kernel backend (reference vs fused NumPy) over
 the same piece-scan and partition inputs and asserts the fused scan's
 speedup floor — the claim BENCH_kernels.json records for CI.
 """

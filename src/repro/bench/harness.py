@@ -161,7 +161,7 @@ def run_workload(
     ``reference`` kernel backend so a kernel bug cannot cancel itself out.
     ``max_queries`` truncates the workload.  ``kernels`` selects the
     kernel backend for the run (process-global; ``None`` keeps the active
-    one, and an unavailable ``numba`` silently falls back to ``numpy``).
+    one).
     ``parallel`` sets the morsel-executor worker count for the run
     (process-global like the kernel selection; ``1`` forces serial,
     ``None`` keeps the active count — see :mod:`repro.parallel`).

@@ -152,8 +152,8 @@ def _time_backends(
     thunks = {
         name: _op_thunks(name, n, columns, arrays) for name in backends
     }
-    # Untimed warm-up round: JIT compilation (numba), scratch-buffer
-    # allocation (fused), page-faulting the inputs.
+    # Untimed warm-up round: scratch-buffer allocation (fused),
+    # page-faulting the inputs.
     for name in backends:
         for op in OPS:
             thunks[name][op]()
@@ -384,7 +384,7 @@ def compare(
     stored_n = stored["meta"]["n"]
     for name, ops in stored["seconds"].items():
         if name not in current["seconds"]:
-            # Optional backends (numba) may be absent on this machine.
+            # A probed backend may be unavailable on this machine.
             drift.notes.append(f"backend {name!r} unavailable here, skipped")
             continue
         for op, baseline_seconds in ops.items():

@@ -46,9 +46,7 @@ Descent
 node (empty leaves included) to ``lookup_nodes``; residual-check flags
 come from the stored path bounds.  :meth:`search_batch` answers B
 queries in one frontier-vectorized pass over the snapshot arrays with
-the same matches, flags and charges; an optional numba kernel
-(:mod:`repro.kernels`) takes over the frontier loop when available,
-with silent NumPy fallback.
+the same matches, flags and charges.
 """
 
 from __future__ import annotations
@@ -347,22 +345,9 @@ class Arena:
             [query.highs for query in queries]
         ).reshape(n_queries, n_dims)
         snapshot = self.as_arrays()
-        descend = _kernel_descend()
-        if descend is not None:
-            frontier = descend(
-                snapshot["dims"],
-                snapshot["keys"],
-                snapshot["lefts"],
-                snapshot["los"],
-                snapshot["his"],
-                lows2d,
-                highs2d,
-            )
-        else:
-            frontier = None
-        if frontier is None:
-            frontier = _numpy_descend(snapshot, lows2d, highs2d)
-        leaf_query, leaf_node, visited = frontier
+        leaf_query, leaf_node, visited = _numpy_descend(
+            snapshot, lows2d, highs2d
+        )
         los = snapshot["los"]
         # Scalar search emits leaves in strictly descending piece-start
         # order; lexsort by (query, -lo) reproduces it per query.
@@ -483,20 +468,3 @@ def _numpy_descend(
         leaf_node = np.empty(0, dtype=np.int64)
     return leaf_query, leaf_node, visited
 
-
-def _kernel_descend():
-    """The active kernel backend's batch-descent hook, if it has one.
-
-    The numba backend compiles a scalar frontier loop on first use and
-    silently reports ``None`` when compilation is unavailable; every
-    other backend inherits the ``None`` default from
-    :class:`~repro.kernels.reference.KernelBackend`, which routes the
-    caller to the NumPy descent above.
-    """
-    from .. import kernels
-
-    backend = kernels.current_backend()
-    getter = getattr(backend, "arena_descend", None)
-    if getter is None:
-        return None
-    return getter()

@@ -25,7 +25,7 @@ from ..obs import trace as obs_trace
 from .kdtree import PieceMatch
 from .metrics import PhaseTimer, QueryStats
 from .query import RangeQuery
-from .scan import range_scan
+from .scan import full_scan, range_scan
 from .table import Table
 
 __all__ = ["QueryResult", "IndexTable", "BaseIndex", "IndexDebugState"]
@@ -335,6 +335,27 @@ class BaseIndex(ABC):
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
+
+    def _pieces_readable(self) -> bool:
+        """Whether the current piece set alone answers any query: a
+        KD-Tree and an index table exist and hold every row."""
+        return (
+            getattr(self, "tree", None) is not None
+            and getattr(self, "index_table", None) is not None
+        )
+
+    def read(self, query: RangeQuery, stats: QueryStats) -> np.ndarray:
+        """Answer ``query`` from the current piece set; never refines.
+
+        The snapshot read: the caller holds the index's reader lock, so
+        reads run concurrently while nothing moves.  A readable piece set
+        (:meth:`_pieces_readable`) is answered by the converged reader's
+        descent and scan, anything else by a full scan of the base
+        columns.
+        """
+        if self._pieces_readable():
+            return self._search_and_scan(query, stats)
+        return full_scan(self.table.columns(), query, stats)
 
     def query_batch(self, queries: Sequence[RangeQuery]) -> List[QueryResult]:
         """Answer ``queries`` in order; returns one result per query.

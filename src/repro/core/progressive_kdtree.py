@@ -584,6 +584,10 @@ class ProgressiveKDTree(BaseIndex):
     def converged(self) -> bool:
         return self.phase == CONVERGED
 
+    def _pieces_readable(self) -> bool:
+        # Mid-creation, the uncopied rows live only in the base table.
+        return self.phase != CREATION and super()._pieces_readable()
+
     @property
     def node_count(self) -> int:
         return 0 if self._tree is None else self._tree.node_count

@@ -15,11 +15,11 @@ each shard's scans fanning out over the process tier
 the serial loop.  Shard-local rowids map back through the shard's
 ``row_offset``; sharding is invisible in the answer.  Refinement also
 decomposes: :meth:`ShardedIndex._refine_step` splits a budget across
-the shards still refining, which is what lets the serve layer's
-:class:`~repro.serve.scheduler.RefinementScheduler` converge shards in
-parallel.  Invariant I10 (:func:`repro.invariants.shard_errors`) checks
-disjoint complete coverage and zone soundness, and sweeps I1–I9 over
-every inner index.
+the shards still refining, which is what lets the think-time
+:class:`~repro.parallel.scheduler.RefinementScheduler` converge shards
+in parallel.  Invariant I10 (:func:`repro.invariants.shard_errors`)
+checks disjoint complete coverage and zone soundness, and sweeps I1–I9
+over every inner index.
 
 **Adaptive table partitioning** (:class:`AdaptiveTablePartitioner`) is
 the paper's Section V future-work idea:
@@ -314,6 +314,21 @@ class ShardedIndex(BaseIndex):
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts)
+
+    def read(self, query: RangeQuery, stats: QueryStats) -> np.ndarray:
+        """Snapshot read: every shard the zone boxes keep reads its own
+        piece set (:meth:`BaseIndex.read`), merged in shard order."""
+        parts: List[np.ndarray] = []
+        for shard, index in zip(self.shards, self.indexes):
+            if not shard.intersects(query):
+                stats.pruned += 1
+                continue
+            local_ids = index.read(query, stats)
+            if local_ids.size:
+                parts.append(local_ids + shard.row_offset)
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     @staticmethod
     def _scatter(

@@ -4,9 +4,8 @@
 in this package and, after **every single query**, checks both halves of
 the correctness contract:
 
-* the *answer* — must equal a full scan of the base table
-  (the paper's master invariant, via the same reference used by
-  :mod:`repro.validation`);
+* the *answer* — must equal a full scan of the base table on the
+  trusted ``reference`` kernel backend (the paper's master invariant);
 * the *structure* — the full invariant suite of :mod:`repro.invariants`,
   including cross-query monotonicity, the open-piece frontier cross-check
   (I12: the refinement work queue against a real walk of the tree) and,
@@ -550,7 +549,10 @@ def run_session_fuzz(
     session's answer is checked against the reference oracle and its
     indexes against I1-I9; every ~10 steps (and at the end) *every*
     session gets the full invariant sweep, so one session's index work
-    corrupting another's state cannot go unnoticed.
+    corrupting another's state cannot go unnoticed.  Odd-numbered
+    sessions refine in think time (``background_refine=True``), so their
+    answers and sweeps race the scheduler's slices; every session is
+    closed at the end.
 
     Returns the list of problems found (empty = clean run).
     """
@@ -567,6 +569,7 @@ def run_session_fuzz(
             technique=SESSION_TECHNIQUES[position % len(SESSION_TECHNIQUES)],
             size_threshold=size_threshold,
             delta=delta,
+            background_refine=position % 2 == 1,
         )
         session.register("shared", shared_columns)
         fleet.append(session)

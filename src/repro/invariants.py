@@ -1,12 +1,13 @@
 """Structural invariant checkers for every index backend.
 
-:mod:`repro.validation` checks that indexes *answer* like a full scan;
-this module checks that the *structures* behind those answers are sound.
-The distinction matters because incremental indexes spend most of their
-life in intermediate states — a half-copied index table, a paused Hoare
-partition, a tree whose newest split is one row off — where a structural
-bug can hide behind accidentally-correct answers for many queries before
-surfacing.  The checkers here make those states directly inspectable.
+The fuzzer (:mod:`repro.fuzz`) checks that indexes *answer* like a full
+scan; this module checks that the *structures* behind those answers are
+sound.  The distinction matters because incremental indexes spend most
+of their life in intermediate states — a half-copied index table, a
+paused Hoare partition, a tree whose newest split is one row off — where
+a structural bug can hide behind accidentally-correct answers for many
+queries before surfacing.  The checkers here make those states directly
+inspectable.
 
 Invariant catalogue (see DESIGN.md for the full rationale):
 
@@ -52,8 +53,8 @@ I9  **Refinement ownership** — while refinement work is fanned out
     (:mod:`repro.parallel`), no piece is ever owned by two workers: the
     ownership registry's sticky violation log stays empty, no piece of
     this index is still claimed when the index is observed at rest, and
-    a background refiner attached to the index has quiesced (is between
-    slices) whenever invariants are checked.
+    no think-time scheduler (:mod:`repro.parallel.scheduler`) is
+    mid-slice on the index whenever invariants are checked.
 I10 **Shard partition** — a :class:`~repro.core.table_partitioning.
     ShardedIndex`'s shards tile ``[0, N)`` disjointly and completely in
     shard order, each shard's column views alias exactly its base-table
@@ -406,10 +407,12 @@ def ownership_errors(index: BaseIndex, state: IndexDebugState) -> List[str]:
     * no leaf of this index's tree is still claimed — the checkers only
       run on an index at rest, so a lingering claim means a worker
       leaked ownership (a missed ``release_piece`` on some code path);
-    * an attached background refiner has quiesced (callers hold its
-      pause lock around the check, making this a guarantee).
+    * no refinement scheduler is mid-slice on this index (callers hold
+      the index's writer lock around the check, making this a
+      guarantee).
     """
     from .parallel import config as parallel_config
+    from .parallel import scheduler
 
     problems: List[str] = list(parallel_config.ownership_violations())
     held = parallel_config.owned_pieces()
@@ -421,11 +424,10 @@ def ownership_errors(index: BaseIndex, state: IndexDebugState) -> List[str]:
                     f"piece [{piece.start}, {piece.end}) of this index is "
                     f"still owned by {owner!r} while the index is at rest"
                 )
-    refiner = getattr(index, "_background", None)
-    if refiner is not None and not refiner.quiescent:
+    if scheduler.mid_slice(index):
         problems.append(
-            "background refiner is mid-slice during an invariant check "
-            "(quiescence handoff was skipped)"
+            "a refinement scheduler is mid-slice during an invariant check "
+            "(the writer-lock handoff was skipped)"
         )
     return problems
 

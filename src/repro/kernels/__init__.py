@@ -19,15 +19,13 @@ Backends
     The original per-dimension candidate-list kernels, kept verbatim as
     the trusted baseline the property suites, the fuzzer oracle, and
     the micro-benchmarks compare against.
-``numba``
-    Optional ``@njit``-compiled scalar kernels.  Registered only when
-    :mod:`numba` is importable; selecting it without numba installed
-    silently falls back to ``numpy`` (capability probing, no hard
-    dependency — install via ``pip install -e .[fast]``).
+
+A backend may register a capability probe (:func:`register`); selecting
+one whose probe fails silently falls back to ``numpy``.
 
 Selection
 ---------
-* environment: ``REPRO_KERNELS=numpy|reference|numba`` (read once at
+* environment: ``REPRO_KERNELS=numpy|reference`` (read once at
   import time);
 * programmatic: :func:`use`, or the ``kernels=`` option of
   :class:`repro.session.ExplorationSession` and
@@ -58,7 +56,6 @@ threads.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import threading
 import time
@@ -154,9 +151,9 @@ def get_backend(name: str) -> KernelBackend:
 def use(name: str) -> str:
     """Activate the named backend; returns the name actually activated.
 
-    Unknown names raise.  A known-but-unavailable backend (``numba``
-    without numba installed) silently falls back to the default NumPy
-    backend, so scripts can request ``numba`` unconditionally.
+    Unknown names raise.  A known-but-unavailable backend (its probe
+    fails) silently falls back to the default NumPy backend, so scripts
+    can request an optional backend unconditionally.
     """
     global _ACTIVE
     if name not in _FACTORIES:
@@ -342,28 +339,14 @@ def _observed_call(
 
 # ---------------------------------------------------------------- registry
 
-def _numba_importable() -> bool:
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):
-        return False
-
-
 def _make_fused() -> KernelBackend:
     from .fused import FusedNumpyBackend
 
     return FusedNumpyBackend()
 
 
-def _make_numba() -> KernelBackend:
-    from .numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
 register("numpy", _make_fused)
 register("reference", ReferenceBackend)
-register("numba", _make_numba, probe=_numba_importable)
 
 _requested = os.environ.get("REPRO_KERNELS", DEFAULT_BACKEND)
 if _requested not in _FACTORIES:

@@ -53,8 +53,8 @@ class KernelBackend:
 
     The two abstract kernels (:meth:`range_scan`,
     :meth:`stable_partition`) carry the full behavioural contract; the
-    two incremental-partition primitives have NumPy defaults that the
-    numba backend overrides.  All index code reaches these methods only
+    two incremental-partition primitives have NumPy defaults that a
+    backend may override.  All index code reaches these methods only
     through the :mod:`repro.kernels` dispatch functions.
     """
 
@@ -131,22 +131,6 @@ class KernelBackend:
             held = array[left_rows]  # fancy indexing materialises a copy,
             array[left_rows] = array[right_rows]  # so these writes are safe
             array[right_rows] = held
-
-    # -- flat-arena batch descent (optional) ------------------------------
-
-    def arena_descend(self):
-        """Compiled batch-descent kernel over the flat KD arena, or ``None``.
-
-        When non-``None``, the returned callable has signature
-        ``(dims, keys, lefts, los, his, lows2d, highs2d) ->
-        (leaf_query_idx, leaf_node_id, visited_per_query)`` and must
-        match :func:`repro.core.arena._numpy_descend` exactly: count
-        every popped node (empty leaves included) in ``visited``, emit
-        only non-empty leaves, leaf order per query is free (the arena
-        re-sorts).  Backends without a compiled descent return ``None``
-        and the arena falls back to its NumPy frontier loop.
-        """
-        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

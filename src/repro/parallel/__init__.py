@@ -19,10 +19,11 @@ Three capabilities (see DESIGN.md §5.3):
   advance_jobs` advances disjoint paused-partition jobs concurrently,
   each under an exclusive per-piece ownership claim (invariant I9),
   while budget accounting stays centralised in the index.
-* **background maintenance** —
-  :class:`~repro.parallel.background.BackgroundRefiner` spends
-  think-time between queries continuing refinement, quiescing (lock
-  handoff) before any query or invariant check runs.
+* **think-time refinement** —
+  :class:`~repro.parallel.scheduler.RefinementScheduler` spends the
+  time between queries continuing refinement, one slice at a time
+  under each index's :class:`~repro.parallel.locks.PieceSnapshotLock`
+  writer side; sessions and the server both use it.
 
 Configuration mirrors the kernel layer: the ``REPRO_PARALLEL``
 environment variable (worker count, or ``auto`` for the CPU count) is
@@ -43,7 +44,6 @@ falls back to threads (then serial) otherwise — same answers and stats
 bit-for-bit on every path.
 """
 
-from .background import BackgroundRefiner
 from .config import (
     MIN_PARALLEL_ROWS,
     MORSEL_ROWS,
@@ -69,7 +69,6 @@ from .procpool import (
 )
 
 __all__ = [
-    "BackgroundRefiner",
     "MIN_PARALLEL_ROWS",
     "MORSEL_ROWS",
     "advance_jobs",

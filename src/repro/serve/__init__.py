@@ -9,25 +9,27 @@ registered tables — the ROADMAP's "serve heavy traffic" north star:
   bit-identically, enabling checksum-only answer verification).
 * :mod:`.admission` — per-tenant and global session/in-flight caps with
   retryable rejections.
-* :mod:`.locks` — :class:`PieceSnapshotLock`, the per-index
-  writer-preferring readers–writer lock behind the snapshot-read
-  protocol (generalising PR 4's single-refiner quiescence RLock).
-* :mod:`.scheduler` — :class:`RefinementScheduler`, one background
-  thread allocating model-priced refinement slices across tenants by
-  weighted fair share.
 * :mod:`.server` — :class:`IndexServer` (the blocking core + asyncio
   request layer) and :class:`ServerThread` (in-process deployment).
 * :mod:`.client` — :class:`ServeClient`, the blocking socket client.
 * :mod:`.loadgen` / :mod:`.report` — the deterministic many-client
   soak harness and its verdict-style ``STRESS_TEST_REPORT.md``.
 
+The per-index readers–writer lock (:class:`PieceSnapshotLock`) and the
+weighted-fair think-time refiner (:class:`RefinementScheduler`) live in
+:mod:`repro.parallel`, shared with
+:class:`~repro.session.ExplorationSession`; ``repro.serve.locks`` still
+names the lock module.
+
 Run a server with ``python -m repro.serve --table soak:uniform:40000:3``
 and drive it with ``python -m repro.serve.loadgen``.
 """
 
+from ..parallel import locks  # keeps ``from repro.serve import locks`` working
+from ..parallel.locks import PieceSnapshotLock
+from ..parallel.scheduler import RefinementScheduler
 from .admission import AdmissionCaps, AdmissionControl, AdmissionError
 from .client import AdmissionRejected, ServeClient, ServeClientError
-from .locks import PieceSnapshotLock
 from .protocol import PROTOCOL_VERSION, TableSpec, answer_checksum
 from .report import (
     CheckpointOutcome,
@@ -35,8 +37,7 @@ from .report import (
     SoakReport,
     render_report,
 )
-from .scheduler import RefinementScheduler
-from .server import IndexServer, ServerThread, TenantSession, snapshot_scan
+from .server import IndexServer, ServerThread, TenantSession
 
 #: Loadgen names resolve lazily (PEP 562): importing them here eagerly
 #: would pre-load ``repro.serve.loadgen`` and trip runpy's double-import
@@ -74,5 +75,4 @@ __all__ = [
     "answer_checksum",
     "render_report",
     "run_soak",
-    "snapshot_scan",
 ]

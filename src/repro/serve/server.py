@@ -16,9 +16,9 @@ tenant sessions over shared registered tables.  Three layers:
   each session builds its own per-column-group incremental indexes over
   projections of the shared columns, exactly like
   :class:`~repro.session.ExplorationSession` does, each guarded by a
-  per-index :class:`~repro.serve.locks.PieceSnapshotLock`.
+  per-index :class:`~repro.parallel.locks.PieceSnapshotLock`.
 * **maintenance layer** — one
-  :class:`~repro.serve.scheduler.RefinementScheduler` owning all
+  :class:`~repro.parallel.scheduler.RefinementScheduler` owning all
   think-time refinement, allocating slices across tenants by
   model-priced fair share.
 
@@ -33,11 +33,11 @@ with a watchdog flagging starvation, stalls, and runaway lock waits.
 
 Queries come in two modes.  ``adaptive`` (the default) is the paper's
 query: it may refine the index and therefore takes the index's writer
-lock.  ``snapshot`` is the serving-path read: it scans the current piece
-set under the shared reader lock — concurrent with other readers, never
-blocked by another tenant's refinement, and falling back to a read-only
-full scan whenever the index has no safely scannable piece set (e.g.
-PKD mid-creation).
+lock.  ``snapshot`` is the serving-path read (:meth:`BaseIndex.read`): it
+scans the current piece set under the shared reader lock — concurrent
+with other readers, never blocked by another tenant's refinement, and
+falling back to a read-only full scan whenever the index has no readable
+piece set (e.g. PKD mid-creation).
 """
 
 from __future__ import annotations
@@ -52,12 +52,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import kernels
-from ..core import BaseIndex, RangeQuery, ShardedIndex
+from ..core import BaseIndex, ShardedIndex
 from ..core.cost_model import CostModel, MachineProfile
 from ..core.dictionary import EncodedTable, encode_table
 from ..core.metrics import QueryStats
-from ..core.progressive_kdtree import CREATION, ProgressiveKDTree
-from ..core.scan import full_scan
 from ..errors import (
     InvalidParameterError,
     InvalidQueryError,
@@ -70,9 +68,10 @@ from ..obs import trace as obs_trace
 from ..obs.export import MetricsExporter, render_exposition
 from ..obs.slo import SLOConfig, SLOEngine, Watchdog
 from ..parallel import procpool, shm as parallel_shm
+from ..parallel.locks import PieceSnapshotLock
+from ..parallel.scheduler import RefinementScheduler
 from ..session import TECHNIQUES, resolve_group_query
 from .admission import AdmissionCaps, AdmissionControl, AdmissionError
-from .locks import PieceSnapshotLock
 from .protocol import (
     PROTOCOL_VERSION,
     TableSpec,
@@ -82,9 +81,8 @@ from .protocol import (
     error_response,
     ok_response,
 )
-from .scheduler import RefinementScheduler
 
-__all__ = ["IndexServer", "ServerThread", "snapshot_scan", "TenantSession"]
+__all__ = ["IndexServer", "ServerThread", "TenantSession"]
 
 
 def _index_key(session_id: str, table: str, group: Tuple[str, ...]) -> str:
@@ -105,43 +103,6 @@ def _thread_kernels() -> kernels.pinned:
     pool workers follow.
     """
     return kernels.pinned(kernels.thread_instance(kernels.active_name()))
-
-
-def snapshot_scan(
-    index: BaseIndex,
-    base_columns: List[np.ndarray],
-    query: RangeQuery,
-    stats: QueryStats,
-) -> np.ndarray:
-    """Read-only scan of ``index``'s current piece snapshot.
-
-    Must be called under the index's reader lock: the tree search
-    (:meth:`KDTree.search`) and the piece scans are pure reads, so any
-    number of them can run concurrently, but the piece set and piece
-    contents must not move underneath them.
-
-    Falls back to a full scan of the immutable base columns whenever the
-    index has no tree yet, or is a Progressive KD-Tree still in its
-    creation phase (where part of the data lives only in half-filled
-    index-table write regions and the only consistent read is the base
-    table).  The fallback touches no index state at all, so it needs no
-    lock.
-    """
-    state = index.debug_state()
-    usable = (
-        state.tree is not None
-        and state.index_table is not None
-        and not (
-            isinstance(index, ProgressiveKDTree) and index.phase == CREATION
-        )
-    )
-    if not usable:
-        return full_scan(base_columns, query, stats)
-    matches = state.tree.search(query, stats)
-    chunks = state.index_table.scan_pieces(matches, query, stats)
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
 
 
 @dataclass
@@ -528,11 +489,6 @@ class IndexServer:
                     finally:
                         entry.lock.release_write()
                 else:
-                    stats = QueryStats()
-                    base_columns = [
-                        shared.encoded.table.column(position)
-                        for position in positions
-                    ]
                     lock_at = tracer.now() if tracer is not None else 0.0
                     entry.lock.acquire_read()
                     try:
@@ -545,9 +501,7 @@ class IndexServer:
                                 side="read",
                             )
                         with scan_cm, _thread_kernels():
-                            row_ids = snapshot_scan(
-                                entry.index, base_columns, query, stats
-                            )
+                            row_ids = entry.index.read(query, QueryStats())
                     finally:
                         entry.lock.release_read()
         finally:

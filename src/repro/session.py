@@ -94,6 +94,8 @@ class SessionResult:
 class _RegisteredTable:
     encoded: EncodedTable
     indexes: Dict[Tuple[str, ...], BaseIndex] = field(default_factory=dict)
+    #: Writer locks of the indexes refined during think time.
+    locks: Dict[Tuple[str, ...], object] = field(default_factory=dict)
     queries_run: int = 0
 
 
@@ -160,12 +162,11 @@ class ExplorationSession:
     size_threshold, delta, tau:
         Forwarded to the underlying indexes.
     kernels:
-        Kernel backend for the scan/partition hot loops (``numpy``,
-        ``reference``, or ``numba``; see :mod:`repro.kernels`).  ``None``
-        keeps whatever is active (the default, or ``REPRO_KERNELS``).
-        Requesting ``numba`` without numba installed silently falls back
-        to the fused NumPy backend.  The dispatch is process-global, so
-        the setting affects every session in the process.
+        Kernel backend for the scan/partition hot loops (``numpy`` or
+        ``reference``; see :mod:`repro.kernels`).  ``None`` keeps
+        whatever is active (the default, or ``REPRO_KERNELS``).  The
+        dispatch is process-global, so the setting affects every session
+        in the process.
     validate:
         Debug mode: after *every* query, run the full structural
         invariant suite (:mod:`repro.invariants`) on the index that
@@ -181,12 +182,13 @@ class ExplorationSession:
         (the default, or ``REPRO_PARALLEL``).  Like the kernel
         selection, the setting is process-global.
     background_refine:
-        Opt-in background maintenance: progressive indexes built by this
-        session get a :class:`~repro.parallel.background.
-        BackgroundRefiner` that keeps refining during think time between
-        queries, quiescing before every query and invariant check.  Call
-        :meth:`close` (or use the session as a context manager) to stop
-        the workers.
+        Opt-in think-time refinement: every index with a refinement phase
+        (progressive or greedy, sharded or not) joins one
+        :class:`~repro.parallel.scheduler.RefinementScheduler`, which
+        refines between queries under the writer side of the index's
+        :class:`~repro.parallel.locks.PieceSnapshotLock`; queries and
+        checks take the same side.  Call :meth:`close` (or use the
+        session as a context manager) to stop the thread.
     procs:
         Process-worker count for the GIL-free execution tier
         (:mod:`repro.parallel.procpool`): registered tables move their
@@ -249,7 +251,7 @@ class ExplorationSession:
             )
         self.shards = shards
         self.background_refine = background_refine
-        self._refiners: List[object] = []
+        self._scheduler = None  # created by the first registered index
         self._tables: Dict[str, _RegisteredTable] = {}
 
     # -- registration ---------------------------------------------------------
@@ -294,12 +296,10 @@ class ExplorationSession:
             registered.encoded, table_name, bounds
         )
         index = self._index_for(registered, group_key, positions)
-        refiner = getattr(index, "_background", None)
-        # Quiesce the background refiner for the duration of the query
-        # (and of the validation pass): the lock is the ownership handoff
-        # of invariant I9.
-        quiesce = refiner.paused() if refiner is not None else nullcontext()
-        with quiesce:
+        lock = registered.locks.get(group_key)
+        # The writer side keeps think-time slices out for the query and
+        # its validation pass: the ownership handoff of invariant I9.
+        with nullcontext() if lock is None else lock.write():
             if obs_trace.ENABLED:
                 with obs_trace.TRACER.span(
                     "session.query",
@@ -318,8 +318,8 @@ class ExplorationSession:
                 from .invariants import assert_invariants
 
                 assert_invariants(index)
-        if refiner is not None:
-            refiner.poke()  # think time starts now — keep refining
+        if lock is not None:
+            self._scheduler.poke()  # think time starts now — keep refining
         if obs_metrics.ENABLED:
             obs_metrics.REGISTRY.counter(
                 "session.queries", table=table_name
@@ -354,11 +354,17 @@ class ExplorationSession:
             else:
                 index = TECHNIQUES[self.technique](projected, self)
             registered.indexes[group_key] = index
-            if self.background_refine and isinstance(index, ProgressiveKDTree):
-                from .parallel.background import BackgroundRefiner
+            # Registration test: the index has a refinement phase.
+            if self.background_refine and getattr(index, "phase", None):
+                from .parallel.locks import PieceSnapshotLock
+                from .parallel.scheduler import RefinementScheduler
 
-                index._background = BackgroundRefiner(index)
-                self._refiners.append(index._background)
+                if self._scheduler is None:
+                    self._scheduler = RefinementScheduler()
+                lock = registered.locks[group_key] = PieceSnapshotLock()
+                self._scheduler.register(
+                    "session", "+".join(group_key), index, lock
+                )
         return index
 
     def run_batch(
@@ -387,10 +393,9 @@ class ExplorationSession:
         results: List[Optional[SessionResult]] = [None] * len(resolved)
         for group_key, slots in by_group.items():
             index = self._index_for(registered, group_key, resolved[slots[0]][1])
-            refiner = getattr(index, "_background", None)
-            quiesce = refiner.paused() if refiner is not None else nullcontext()
+            lock = registered.locks.get(group_key)
             queries = [resolved[slot][2] for slot in slots]
-            with quiesce:
+            with nullcontext() if lock is None else lock.write():
                 begin = time.perf_counter()
                 answers = index.query_batch(queries)
                 elapsed = time.perf_counter() - begin
@@ -398,8 +403,8 @@ class ExplorationSession:
                     from .invariants import assert_invariants
 
                     assert_invariants(index)
-            if refiner is not None:
-                refiner.poke()
+            if lock is not None:
+                self._scheduler.poke()
             if obs_metrics.ENABLED:
                 obs_metrics.REGISTRY.counter(
                     "session.queries", table=table_name
@@ -450,11 +455,8 @@ class ExplorationSession:
         for name in names:
             registered = self._lookup(name)
             for group_key, index in registered.indexes.items():
-                refiner = getattr(index, "_background", None)
-                quiesce = (
-                    refiner.paused() if refiner is not None else nullcontext()
-                )
-                with quiesce:
+                lock = registered.locks.get(group_key)
+                with nullcontext() if lock is None else lock.write():
                     findings[f"{name}/{','.join(group_key)}"] = (
                         structural_errors(index)
                     )
@@ -484,11 +486,11 @@ class ExplorationSession:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop any background refiners.  Idempotent; the session remains
+        """Stop think-time refinement.  Idempotent; the session remains
         queryable afterwards (maintenance just no longer runs between
         queries)."""
-        while self._refiners:
-            self._refiners.pop().close()
+        if self._scheduler is not None:
+            self._scheduler.close()
 
     def __enter__(self) -> "ExplorationSession":
         return self

@@ -520,16 +520,22 @@ def unbounded_probe(n_dims: int) -> RangeQuery:
 
 
 def test_scheduler_slices_interleaved_with_queries_match_walk_oracle():
-    """The serve scheduler and the background refiner reuse *one* probe
-    object across slices while tenant queries refine the same tree in
-    between: choices and counters must still equal the walk oracle's."""
+    """The think-time scheduler reuses *one* probe object per index
+    across slices while queries refine the same tree in between:
+    choices and counters must still equal the walk oracle's.  The
+    scheduler's own slice routine runs here on the test thread."""
+    from repro.parallel.locks import PieceSnapshotLock
+    from repro.parallel.scheduler import RefinementScheduler, _Entry
+
     table = uniform_table()
     queries = WORKLOADS["uniform"](table)
     runs = []
+    scheduler = RefinementScheduler(slice_rows=1_500)
+    scheduler.close()  # no thread: slices run synchronously below
     for cls in (WalkGPKD, LoggedGPKD):
         index = cls(table, delta=0.2, size_threshold=64)
-        probe = unbounded_probe(table.n_columns)
-        slice_stats = QueryStats()
+        entry = _Entry("t", "k", index, PieceSnapshotLock(), 1.0)
+        slice_stats = entry.stats
         trace = []
         for query in queries:
             result = index.query(query)
@@ -540,10 +546,12 @@ def test_scheduler_slices_interleaved_with_queries_match_walk_oracle():
             for _ in range(2):
                 if index.phase != "refinement":
                     break
-                used = index._refine_step(1_500, probe, slice_stats)
+                rows_before = entry.rows
+                scheduler._slice(entry)
                 trace.append(
-                    ("slice", used, slice_stats.lookup_nodes,
-                     slice_stats.scanned, slice_stats.swapped)
+                    ("slice", entry.rows - rows_before,
+                     slice_stats.lookup_nodes, slice_stats.scanned,
+                     slice_stats.swapped)
                 )
                 if cls is LoggedGPKD:
                     assert structural_errors(index) == []

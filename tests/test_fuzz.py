@@ -221,6 +221,68 @@ def test_answer_mismatch_is_reported_distinctly():
     assert any("answer mismatch" in p for p in problems)
 
 
+def test_extra_rows_are_reported_as_unexpected():
+    """An answer carrying a row the full scan does not return is an
+    answer mismatch that names the unexpected row."""
+
+    class PaddedFullScan:
+        def __init__(self, table):
+            self._inner = BACKENDS["fs"](table, None)
+
+        def __getattr__(self, attribute):
+            return getattr(self._inner, attribute)
+
+        def query(self, query):
+            result = self._inner.query(query)
+            outside = np.setdiff1d(
+                np.arange(self._inner.n_rows), result.row_ids
+            )
+            if outside.size:
+                result.row_ids = np.append(result.row_ids, outside[0])
+            return result
+
+    case = FuzzCase(
+        seed=4, kind="uniform", n_rows=300, n_dims=2, n_queries=10
+    )
+    table, queries = build_workload(case)
+    BACKENDS["padded"] = lambda table, case: PaddedFullScan(table)
+    try:
+        position, problems = run_backend_case("padded", table, queries, case)
+    finally:
+        del BACKENDS["padded"]
+    assert position == 0
+    assert any("1 unexpected" in p for p in problems)
+
+
+def test_index_table_corrupted_behind_the_tree_is_reported():
+    """Overwriting the index table's values after a query breaks the
+    structural invariants the per-query sweep checks."""
+    from repro.core import AdaptiveKDTree
+
+    class CorruptingAKD(AdaptiveKDTree):
+        def query(self, query):
+            result = super().query(query)
+            self.index_table.columns[0][:] = 0.0
+            return result
+
+    case = FuzzCase(
+        seed=4, kind="uniform", n_rows=400, n_dims=2, n_queries=6,
+        size_threshold=32,
+    )
+    table, queries = build_workload(case)
+    BACKENDS["corrupting"] = lambda table, case: CorruptingAKD(
+        table, size_threshold=case.size_threshold
+    )
+    try:
+        position, problems = run_backend_case(
+            "corrupting", table, queries, case
+        )
+    finally:
+        del BACKENDS["corrupting"]
+    assert position == 0
+    assert problems
+
+
 # --------------------------------------------------- multi-session fuzzing
 
 

@@ -144,3 +144,52 @@ class TestDegenerateTables:
             )
             for query, want in zip(queries, answers):
                 assert np.array_equal(np.sort(index.query(query).row_ids), want)
+
+
+class TestRead:
+    """``BaseIndex.read``: the snapshot reader answers from the current
+    piece set at every point of construction and never refines."""
+
+    @pytest.mark.parametrize(
+        "technique", ["adaptive", "progressive", "greedy", "quasii", "scan"]
+    )
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_read_answers_like_a_full_scan_and_changes_nothing(
+        self, technique, shards
+    ):
+        from types import SimpleNamespace
+
+        from repro.core import ShardedIndex
+        from repro.core.progressive_kdtree import CREATION
+        from repro.session import TECHNIQUES
+        from tests.conftest import reference_answer
+
+        table = make_uniform_table(3_000, 2, seed=8)
+        settings = SimpleNamespace(size_threshold=64, delta=0.25, tau=None)
+        factory = lambda t: TECHNIQUES[technique](t, settings)  # noqa: E731
+        index = factory(table) if shards == 1 else ShardedIndex(
+            table, factory, shards
+        )
+        phases = set()
+        for query in make_queries(table, 12, seed=9):
+            for probe in (query, make_queries(table, 1, seed=10)[0]):
+                nodes = index.node_count
+                stats = QueryStats()
+                got = np.sort(index.read(probe, stats))
+                assert np.array_equal(got, reference_answer(table, probe))
+                assert index.node_count == nodes
+                assert stats.swapped == stats.copied == 0
+            phases.add(getattr(index, "phase", None))
+            index.query(query)
+        if technique in ("progressive", "greedy"):
+            assert CREATION in phases and len(phases) > 1
+
+    def test_converged_read_charges_the_converged_reader(self):
+        index = AdaptiveKDTree(make_uniform_table(2_000, 2), size_threshold=64)
+        queries = make_queries(index.table, 40, seed=4)
+        for query in queries:
+            index.query(query)
+        read_stats = QueryStats()
+        index.read(queries[0], read_stats)
+        assert read_stats.lookup_nodes > 0
+        assert read_stats.scanned < index.n_rows

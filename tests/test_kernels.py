@@ -45,7 +45,7 @@ def test_default_backend_is_fused_numpy():
     assert kernels.DEFAULT_BACKEND == "numpy"
     assert "numpy" in kernels.available_backends()
     assert "reference" in kernels.available_backends()
-    assert "numba" in kernels.registered_backends()
+    assert sorted(kernels.registered_backends()) == ["numpy", "reference"]
 
 
 def test_unknown_backend_raises():
@@ -55,13 +55,21 @@ def test_unknown_backend_raises():
         kernels.get_backend("vectorwise")
 
 
-def test_unavailable_backend_falls_back_silently():
-    activated = kernels.use("numba")
-    if "numba" in kernels.available_backends():
-        assert activated == "numba"
-    else:
-        assert activated == kernels.DEFAULT_BACKEND
-        assert kernels.active_name() == kernels.DEFAULT_BACKEND
+def test_unavailable_backend_falls_back_silently(monkeypatch):
+    """A registered backend whose capability probe fails is listed but
+    not available, and selecting it activates the default instead."""
+    monkeypatch.setitem(
+        kernels._FACTORIES, "absent", kernels.ReferenceBackend
+    )
+    monkeypatch.setitem(kernels._PROBES, "absent", lambda: False)
+    assert "absent" in kernels.registered_backends()
+    assert "absent" not in kernels.available_backends()
+    kernels.use("reference")
+    activated = kernels.use("absent")
+    assert activated == kernels.DEFAULT_BACKEND
+    assert kernels.active_name() == kernels.DEFAULT_BACKEND
+    with pytest.raises(InvalidParameterError):
+        kernels.get_backend("absent")
 
 
 def test_use_returns_and_activates():

@@ -5,8 +5,8 @@ worker count, parallel execution must return exactly the serial answers
 with exactly the serial work counters, and (on integer data, where mean
 pivots are rounding-free) leave behind exactly the serial tree.  On top
 of that: configuration plumbing, the I9 ownership protocol, thread-safe
-kernel pinning, the tracer under concurrency, and background refinement
-with quiescence.
+kernel pinning, the tracer under concurrency, and think-time refinement
+by a session's scheduler under the writer-lock handoff.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.sink import ListSink
 from repro.parallel import config as par_config
 from repro.parallel import executor
-from repro.parallel.background import BackgroundRefiner
+from repro.parallel.scheduler import RefinementScheduler
 from repro.session import ExplorationSession
 
 from .conftest import make_queries, make_uniform_table
@@ -438,10 +438,10 @@ class TestBitIdentity:
         assert serial[1] == parallel[1]
 
 
-# ------------------------------------------------------ background refinement
+# ------------------------------------------------------ think-time refinement
 
-class TestBackgroundRefiner:
-    def test_background_converges_index_between_queries(self):
+class TestThinkTimeRefinement:
+    def test_think_time_converges_index_between_queries(self):
         rng = np.random.default_rng(17)
         columns = {
             "x": rng.integers(0, 500, 4000),
@@ -456,9 +456,9 @@ class TestBackgroundRefiner:
         session.register("t", columns)
         session.query("t", x=(10, 400), y=(10, 400))
         index = next(iter(session._tables["t"].indexes.values()))
-        refiner = index._background
-        assert isinstance(refiner, BackgroundRefiner) and refiner.alive
-        # The refiner only advances the refinement phase; foreground
+        scheduler = session._scheduler
+        assert isinstance(scheduler, RefinementScheduler) and scheduler.alive
+        # The scheduler only advances the refinement phase; foreground
         # queries must finish creation first (~1/delta of them).  After
         # that, think time alone must converge the index.
         from repro.core.progressive_kdtree import REFINEMENT
@@ -469,12 +469,14 @@ class TestBackgroundRefiner:
             session.query("t", x=(10, 400), y=(10, 400))
         deadline = 200
         while not index.converged and deadline > 0:
-            refiner.poke()
+            scheduler.poke()
             threading.Event().wait(0.02)
             deadline -= 1
         assert index.converged, "background refinement never converged"
-        assert refiner.slices_run > 0
-        assert refiner.stats.swapped > 0
+        assert scheduler.slices_run > 0
+        # Slice work lands in the scheduler entry's own ledger.
+        (entry,) = scheduler._entries
+        assert entry.stats.swapped > 0
         # Post-convergence queries still answer correctly and invariants
         # (including I9 quiescence) hold.
         result = session.query("t", x=(0, 100), y=(0, 100))
@@ -486,7 +488,7 @@ class TestBackgroundRefiner:
         findings = session.check("t")
         assert all(not problems for problems in findings.values())
         session.close()
-        assert not refiner.alive
+        assert not scheduler.alive
 
     def test_close_is_idempotent_and_context_manager(self):
         with ExplorationSession(background_refine=True) as session:
@@ -495,12 +497,92 @@ class TestBackgroundRefiner:
         session.close()  # second close is a no-op
 
     def test_non_progressive_backends_get_no_refiner(self):
-        session = ExplorationSession(technique="scan", background_refine=True)
-        session.register("t", {"x": np.arange(50.0)})
-        session.query("t", x=(1, 5))
-        index = next(iter(session._tables["t"].indexes.values()))
-        assert getattr(index, "_background", None) is None
-        session.close()
+        for technique, shards in (("scan", 1), ("adaptive", 2)):
+            session = ExplorationSession(
+                technique=technique, shards=shards, background_refine=True
+            )
+            session.register("t", {"x": np.arange(50.0)})
+            session.query("t", x=(1, 5))
+            assert session._scheduler is None
+            assert session._tables["t"].locks == {}
+            session.close()
+
+    def test_sharded_progressive_indexes_are_refined(self):
+        """Registration asks "has a refinement phase", so a sharded
+        progressive index joins the scheduler like an unsharded one."""
+        rng = np.random.default_rng(3)
+        columns = {"x": rng.integers(0, 300, 3000)}
+        with ExplorationSession(
+            technique="greedy", size_threshold=64, delta=0.5, shards=2,
+            background_refine=True,
+        ) as session:
+            session.register("t", columns)
+            while True:
+                session.query("t", x=(10, 200))
+                index = session._tables["t"].indexes[("x",)]
+                if index.phase != "creation":
+                    break
+            deadline = 500
+            while not index.converged and deadline > 0:
+                session._scheduler.poke()
+                threading.Event().wait(0.01)
+                deadline -= 1
+            assert index.converged
+            assert session._scheduler.allocations()["session"]["rows"] > 0
+            assert all(not p for p in session.check().values())
+
+    def test_queries_racing_slices_stay_exact(self):
+        """Queries, batches and checks interleave with scheduler slices
+        on the same indexes; a tiny switch interval forces the threads
+        to trade the interpreter often.  Every answer must equal the
+        full scan and every sweep must come back clean."""
+        import sys
+        import time
+
+        rng = np.random.default_rng(21)
+        columns = {"x": rng.random(6000) * 100, "y": rng.random(6000) * 100}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ExplorationSession(
+                technique="greedy", size_threshold=32, delta=0.5,
+                background_refine=True,
+            ) as session:
+                session.register("t", columns)
+                deadline = time.monotonic() + 30
+                for step in range(60):
+                    low = float(rng.random() * 80)
+                    bounds = {"x": (low, low + 15), "y": (low, low + 30)}
+                    want = np.flatnonzero(
+                        (columns["x"] > low) & (columns["x"] <= low + 15)
+                        & (columns["y"] > low) & (columns["y"] <= low + 30)
+                    )
+                    got = session.query("t", **bounds).row_ids
+                    assert np.array_equal(np.sort(got), want), step
+                    (batched,) = session.run_batch("t", [bounds])
+                    assert np.array_equal(np.sort(batched.row_ids), want)
+                    if step % 10 == 9:
+                        findings = session.check()
+                        assert all(not p for p in findings.values())
+                    assert time.monotonic() < deadline
+                assert session._scheduler.slices_run > 0
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_plain_session_starts_no_scheduler(self):
+        def schedulers():
+            return sum(
+                t.name == "repro-refine-scheduler"
+                for t in threading.enumerate()
+            )
+
+        before = schedulers()
+        session = ExplorationSession(technique="greedy")
+        session.register("t", {"x": np.arange(500.0)})
+        session.query("t", x=(1, 50))
+        assert session._scheduler is None
+        assert session._tables["t"].locks == {}
+        assert schedulers() == before
 
 
 # ------------------------------------------------------------- fuzz smoke

@@ -339,6 +339,41 @@ class TestScheduler:
         scheduler.close()
         assert not scheduler.alive
 
+    def test_invariant_check_inside_a_slice_reports_i9(self, monkeypatch):
+        """I9 sees the server's scheduler: a structural sweep run on a
+        server index from inside one of its refinement slices reports
+        the quiescence breach."""
+        from repro.core.progressive_kdtree import CREATION
+        from repro.invariants import structural_errors
+
+        server, _ = _spec_server()
+        findings = []
+        try:
+            session = server.open_session("a")
+            bounds = {"c0": (10.0, 30.0), "c1": (10.0, 30.0)}
+            server.execute_query(session, "t", bounds)
+            (entry,) = server._sessions[session].indexes.values()
+            index = entry.index
+            refine_step = index._refine_step
+
+            def checking_step(budget, probe, stats):
+                # Queries run on this thread; slices on the scheduler's.
+                if threading.current_thread() is not threading.main_thread():
+                    findings.append(structural_errors(index))
+                return refine_step(budget, probe, stats)
+
+            monkeypatch.setattr(index, "_refine_step", checking_step)
+            while index.phase == CREATION:
+                server.execute_query(session, "t", bounds)
+            deadline = time.monotonic() + 30
+            while not findings and time.monotonic() < deadline:
+                server.scheduler.poke()
+                time.sleep(0.01)
+        finally:
+            server.close()
+        assert findings, "the scheduler never ran a slice"
+        assert any("mid-slice" in problem for problem in findings[0])
+
 
 # -------------------------------------------------------------- server core
 
@@ -510,6 +545,49 @@ class TestSnapshotConcurrency:
             )
         finally:
             server.close()
+
+
+class TestSnapshotReader:
+    def test_sharded_snapshot_read_uses_the_shard_piece_sets(
+        self, monkeypatch
+    ):
+        """After five identical adaptive queries the AKD pieces contain
+        the query; a snapshot read of the 2-shard index must scan no
+        more rows than the unsharded one (not the whole table) and
+        return the same rows."""
+        import repro.serve.server as server_module
+
+        created = []
+
+        def recording_stats():
+            stats = QueryStats()
+            created.append(stats)
+            return stats
+
+        monkeypatch.setattr(server_module, "QueryStats", recording_stats)
+        rng = np.random.default_rng(0)
+        columns = {"x": rng.random(200_000), "y": rng.random(200_000)}
+        bounds = {"x": (0.31, 0.34), "y": (0.52, 0.55)}
+        outcomes = {}
+        for shards in (1, 2):
+            server = IndexServer(
+                technique="adaptive", size_threshold=1024, shards=shards
+            )
+            try:
+                server.register_table("t", columns=columns)
+                session = server.open_session("a")
+                for _ in range(5):
+                    server.execute_query(session, "t", bounds)
+                created.clear()
+                response = server.execute_query(
+                    session, "t", bounds, mode="snapshot", return_ids=True
+                )
+            finally:
+                server.close()
+            scanned = sum(stats.scanned for stats in created)
+            outcomes[shards] = (response["row_ids"], scanned)
+        assert outcomes[1][0] and outcomes[2][0] == outcomes[1][0]
+        assert outcomes[2][1] <= outcomes[1][1], outcomes
 
 
 # -------------------------------------------------------------- socket layer

@@ -1,9 +1,10 @@
-"""Session teardown under an active background refiner.
+"""Session teardown under active think-time refinement.
 
 ``ExplorationSession.close()`` (and the context-manager exit that calls
-it) must stop every :class:`BackgroundRefiner` worker it started: no
-leaked threads, quiescence genuinely held whenever invariants are
-checked, and the session still queryable afterwards.
+it) must stop the :class:`~repro.parallel.scheduler.RefinementScheduler`
+thread it started: no leaked threads, the writer-lock handoff genuinely
+held whenever invariants are checked, and the session still queryable
+afterwards.
 """
 
 from __future__ import annotations
@@ -13,14 +14,20 @@ import threading
 import numpy as np
 import pytest
 
-import repro.session as session_module
+from repro.parallel.scheduler import mid_slice
 from repro.session import ExplorationSession
+
+THREAD_NAME = "repro-refine-scheduler"
 
 
 def _refine_thread_names():
-    return [
-        t.name for t in threading.enumerate() if t.name == "repro-bg-refine"
-    ]
+    return [t.name for t in threading.enumerate() if t.name == THREAD_NAME]
+
+
+def _join_refine_threads():
+    for refiner_thread in threading.enumerate():
+        if refiner_thread.name == THREAD_NAME:
+            refiner_thread.join(timeout=5)
 
 
 def _make_session(**kwargs):
@@ -42,13 +49,13 @@ class TestClose:
         before = _refine_thread_names()
         session = _make_session()
         session.query("t", x=(10.0, 40.0), y=(10.0, 40.0))
+        session.query("t", x=(10.0, 40.0))
         assert len(_refine_thread_names()) == len(before) + 1, (
-            "background_refine=True should have started a refiner"
+            "background_refine=True should have started one scheduler "
+            "for all of the session's indexes"
         )
         session.close()
-        for refiner_thread in threading.enumerate():
-            if refiner_thread.name == "repro-bg-refine":
-                refiner_thread.join(timeout=5)
+        _join_refine_threads()
         assert _refine_thread_names() == before, "refiner thread leaked"
 
     def test_close_is_idempotent_and_session_stays_usable(self):
@@ -58,6 +65,8 @@ class TestClose:
         session.close()  # second close is a no-op
         result = session.query("t", x=(10.0, 40.0))
         assert result.count >= 0  # still answers (just without maintenance)
+        session.query("t", y=(10.0, 40.0))  # a new index starts no thread
+        assert not session._scheduler.alive
         assert session.check()  # and still checkable
 
     def test_context_manager_joins_threads(self):
@@ -65,9 +74,7 @@ class TestClose:
         with _make_session() as session:
             session.query("t", x=(5.0, 60.0), y=(5.0, 60.0))
             assert len(_refine_thread_names()) == len(before) + 1
-        for refiner_thread in threading.enumerate():
-            if refiner_thread.name == "repro-bg-refine":
-                refiner_thread.join(timeout=5)
+        _join_refine_threads()
         assert _refine_thread_names() == before
 
     def test_context_manager_closes_on_exception(self):
@@ -76,21 +83,18 @@ class TestClose:
             with _make_session() as session:
                 session.query("t", x=(5.0, 60.0))
                 raise RuntimeError("exploration went sideways")
-        for refiner_thread in threading.enumerate():
-            if refiner_thread.name == "repro-bg-refine":
-                refiner_thread.join(timeout=5)
+        _join_refine_threads()
         assert _refine_thread_names() == before
 
 
 class TestQuiescenceDuringChecks:
     def test_final_check_runs_with_refiner_quiescent(self, monkeypatch):
-        """While ``session.check()`` inspects an index, its background
-        refiner must be quiescent — the structural sweep observes the
-        index at rest (invariant I9's ownership handoff)."""
+        """While ``session.check()`` inspects an index, no scheduler
+        slice may be running on it — the structural sweep observes the
+        index at rest (invariant I9's writer-lock handoff)."""
         session = _make_session()
         session.query("t", x=(10.0, 40.0), y=(10.0, 40.0))
-        (index,) = session._tables["t"].indexes.values()
-        refiner = index._background
+        scheduler = session._scheduler
         observed = []
 
         import repro.invariants as invariants
@@ -98,7 +102,10 @@ class TestQuiescenceDuringChecks:
         real_structural_errors = invariants.structural_errors
 
         def spying_structural_errors(checked_index):
-            observed.append(refiner.quiescent)
+            observed.append(
+                scheduler.slicing is not checked_index
+                and not mid_slice(checked_index)
+            )
             return real_structural_errors(checked_index)
 
         # session.check() imports the symbol from repro.invariants at
@@ -127,14 +134,13 @@ class TestQuiescenceDuringChecks:
             == CREATION
         ):
             session.query("t", x=(10.0, 40.0), y=(10.0, 40.0))
-        (index,) = session._tables["t"].indexes.values()
-        refiner = index._background
+        scheduler = session._scheduler
         deadline = time.monotonic() + 20
-        while refiner.slices_run == 0 and time.monotonic() < deadline:
-            refiner.poke()
+        while scheduler.slices_run == 0 and time.monotonic() < deadline:
+            scheduler.poke()
             time.sleep(0.01)
-        assert refiner.slices_run > 0, "background refiner never ran a slice"
+        assert scheduler.slices_run > 0, "scheduler never ran a slice"
         session.close()
-        assert not refiner.alive
+        assert not scheduler.alive
         # Post-close invariant sweep: the refiner's final state is clean.
         assert all(not problems for problems in session.check().values())

@@ -347,8 +347,8 @@ class TestShardedRefinement:
         assert shard_errors(index) == []
 
     def test_scheduler_converges_sharded_index(self):
-        from repro.serve.locks import PieceSnapshotLock
-        from repro.serve.scheduler import RefinementScheduler
+        from repro.parallel.locks import PieceSnapshotLock
+        from repro.parallel.scheduler import RefinementScheduler
 
         table = make_uniform_table(3_000, 2, seed=14)
         index = ShardedIndex(table, gpkd_factory(size_threshold=128), 3)
